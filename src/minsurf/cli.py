@@ -3,8 +3,9 @@
 Exit codes: 0 when every asserted invariant held, 1 when a mathematical
 assertion failed (a contradiction between a criterion and the stability
 index, a chain violation inside its hypotheses, a uniqueness violation),
-2 for operational failures (bad input, solver non-convergence). A report is
-written whenever the output directory is usable.
+2 for operational failures (bad input, solver or eigen-solve
+non-convergence). A report is written whenever the output directory is
+usable.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def _sample_endpoint(spec: MapSpec, grid, cfg: RunConfig, rng) -> GridMap:
     return f
 
 
+def _undetermined_message(stability) -> str:
+    return (
+        f"eigen-solve did not converge in {stability.iterations} iterations "
+        f"(residual {stability.eigen_residual:.3e}); stability undetermined"
+    )
+
+
 def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list, fields: dict):
     spectrum = singular_spectrum(jacobian(f))
     results["spectrum"] = {
@@ -85,6 +93,8 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
             )
         results["stability"] = stability.summary()
         fields["eigenvector"] = stability.eigenvector
+        if stability.verdict == "undetermined":
+            failures.append(_undetermined_message(stability))
     verdict = criteria_report(
         f,
         S=spectrum,
@@ -107,7 +117,7 @@ def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
         failures.append(f"solver did not converge: {outcome.status}")
         return EXIT_OPERATIONAL
     _analysis_sections(outcome.solution, cfg, results, failures, fields)
-    return EXIT_OK
+    return EXIT_OPERATIONAL if failures else EXIT_OK
 
 
 def _cmd_analyze(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
@@ -115,7 +125,7 @@ def _cmd_analyze(cfg: RunConfig, results: dict, failures: list, fields: dict) ->
     f = cfg.boundary.sample(grid)
     fields["solution"] = f
     _analysis_sections(f, cfg, results, failures, fields)
-    return EXIT_OK
+    return EXIT_OPERATIONAL if failures else EXIT_OK
 
 
 def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
@@ -170,16 +180,22 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
             if cfg.sweep.stability:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", NotMinimalWarning)
-                    st = stability_index(outcome.solution, cfg.stability.eigen_config(cfg.seed))
+                    st = stability_index(
+                        outcome.solution,
+                        cfg.stability.eigen_config(cfg.seed),
+                        minimal_tol=cfg.criteria.minimal_tol,
+                    )
                 step["min_eigenvalue"] = st.min_eigenvalue
                 step["stability_verdict"] = st.verdict
+                if st.verdict == "undetermined":
+                    failures.append(f"amplitude {s}: {_undetermined_message(st)}")
         else:
             prev_solution = None
             if first_failure is None:
                 first_failure = s
         steps.append(step)
     results["sweep"] = {"steps": steps, "first_failure": first_failure}
-    return EXIT_OK
+    return EXIT_OPERATIONAL if failures else EXIT_OK
 
 
 def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:

@@ -179,7 +179,8 @@ def criteria_report(
     :class:`ContradictionDetected`: sufficiency is proved pointwise, so the
     combination can only mean an implementation bug. The cross-check demands
     a relative margin on the criterion so that discretization error near the
-    sharp thresholds cannot trigger false alarms.
+    sharp thresholds cannot trigger false alarms, and is skipped when the
+    stability verdict is "undetermined" (the eigen-solve did not converge).
     """
     if S is None:
         S = singular_spectrum(jacobian(f))
@@ -208,7 +209,10 @@ def criteria_report(
 
     theta = stability.min_eigenvalue if stability is not None else None
     eps = stability.epsilon if stability is not None else None
-    if stability is not None and minimal and theta < -eps:
+    determined = stability is not None and stability.verdict != "undetermined"
+    if stability is not None and not determined:
+        notes.append("stability index undetermined: eigen-solve did not converge")
+    if determined and minimal and theta < -eps:
         dd_solid = dd.verdict == DD_STRICT and dd.strict_margin > crosscheck_margin
         dd_solid = dd_solid and (1.0 - S.sup_lambda_max("closure")) > crosscheck_margin
         tj_solid = tj.vacuous or (

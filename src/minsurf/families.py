@@ -122,7 +122,7 @@ def random_smooth_map(
 def max_stretch(f: GridMap) -> float:
     """Largest singular value over nodewise and cell-corner Jacobians."""
     node_sup = singular_spectrum(jacobian(f)).sup_lambda_max("closure")
-    corner = corner_jacobians(f.values, f.grid)
+    corner = np.moveaxis(corner_jacobians(f.values, f.grid), (0, 1), (-2, -1))
     corner_sup = float(np.linalg.svd(corner, compute_uv=False)[..., 0].max())
     return max(node_sup, corner_sup)
 

@@ -136,7 +136,8 @@ class GridMap:
     values: np.ndarray  # counts + (m,)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        # always a private copy: freezing must not reach the caller's array
+        vals = np.array(self.values, dtype=float, order="C")
         if vals.ndim != self.grid.n + 1 or vals.shape[: self.grid.n] != self.grid.counts:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid counts {self.grid.counts} + (m,)"

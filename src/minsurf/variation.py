@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._stencils import corner_jacobians, corner_metrics, corner_weight, scatter_corner_flux
+from ._stencils import corner_jacobians, corner_metrics, corner_weight, scatter_corner_flux, small_matmul
 from .area import minimal_system_residual
 from .assembly import colored_stencil_matrix, interior_dof_index
 from .errors import NotMinimalWarning
@@ -100,7 +100,8 @@ class SecondVariationForm:
                 stacklevel=3,
             )
         self._J = corner_jacobians(f.values, self.grid)
-        _, self._Ginv, self._sqrtg = corner_metrics(self._J)
+        self._Ginv, self._sqrtg = corner_metrics(self._J)
+        self._JGi = small_matmul(self._J, self._Ginv)
         self._wc = corner_weight(self.grid)
         node_metric = induced_metric(f)
         w = self.grid.quadrature_weights * node_metric.sqrt_det
@@ -112,23 +113,21 @@ class SecondVariationForm:
     def directional_derivative(self, V: VariationField | np.ndarray) -> float:
         """Exact d/dt of the discrete area along f + tV at t = 0."""
         B = corner_jacobians(_as_values(V), self.grid)
-        JGi = np.einsum("...ai,...ij->...aj", self._J, self._Ginv)
-        return float(self._wc * np.sum(self._sqrtg * np.einsum("...aj,...aj->...", JGi, B)))
+        return float(self._wc * np.sum(self._sqrtg * self._JGi * B))
 
     def _corner_terms(self, B: np.ndarray):
-        M = np.einsum("...ai,...aj->...ij", self._J, B)
-        M = M + np.swapaxes(M, -1, -2)
-        GM = np.einsum("...ij,...jk->...ik", self._Ginv, M)
-        return M, GM
+        """M = J^T B + B^T J and tr(G^-1 M) = 2 <J G^-1, B> per corner."""
+        M = small_matmul(self._J.swapaxes(0, 1), B)
+        M = M + M.swapaxes(0, 1)
+        return M, 2.0 * np.sum(self._JGi * B, axis=(0, 1))
 
     def quadratic(self, V: VariationField | np.ndarray) -> float:
         """Exact d2/dt2 of the discrete area along f + tV at t = 0."""
         B = corner_jacobians(_as_values(V), self.grid)
-        _, GM = self._corner_terms(B)
-        BtB = np.einsum("...ai,...aj->...ij", B, B)
-        t1 = np.einsum("...ij,...ij->...", self._Ginv, BtB)
-        t2 = 0.5 * np.einsum("...ij,...ji->...", GM, GM)
-        tau = np.trace(GM, axis1=-2, axis2=-1)
+        M, tau = self._corner_terms(B)
+        GM = small_matmul(self._Ginv, M)
+        t1 = np.sum(small_matmul(B, self._Ginv) * B, axis=(0, 1))
+        t2 = 0.5 * np.sum(GM * GM.swapaxes(0, 1), axis=(0, 1))
         return float(self._wc * np.sum(self._sqrtg * (t1 - t2 + 0.25 * tau**2)))
 
     # -- operator form ----------------------------------------------------
@@ -136,14 +135,11 @@ class SecondVariationForm:
     def apply_values(self, Vvals: np.ndarray) -> np.ndarray:
         """H V as a nodal array; <W, HV>_w equals the polarized quadratic form."""
         B = corner_jacobians(Vvals, self.grid)
-        M, GM = self._corner_terms(B)
-        tau = np.trace(GM, axis1=-2, axis2=-1)
-        JGi = np.einsum("...ai,...ij->...aj", self._J, self._Ginv)
-        flux = np.einsum("...ai,...ij->...aj", B, self._Ginv)
-        # J G^-1 M G^-1, using M G^-1 = (G^-1 M)^T for symmetric factors
-        flux -= np.einsum("...ak,...ik->...ai", JGi, GM)
-        flux += 0.5 * tau[..., None, None] * JGi
-        flux *= self._sqrtg[..., None, None]
+        M, tau = self._corner_terms(B)
+        # (B - J G^-1 M) G^-1 = B G^-1 - J G^-1 M G^-1
+        flux = small_matmul(B - small_matmul(self._JGi, M), self._Ginv)
+        flux += 0.5 * tau * self._JGi
+        flux *= self._sqrtg
         out = self._wc * scatter_corner_flux(flux, self.grid)
         out = np.where(
             self._interior[..., None], out / self._node_weight[..., None], 0.0
@@ -217,7 +213,7 @@ class StabilityReport:
     min_eigenvalue: float
     eigenvector: VariationField
     rayleigh_history: tuple[float, ...]
-    verdict: str  # stable / marginal / unstable
+    verdict: str  # stable / marginal / unstable, or undetermined when not converged
     epsilon: float
     converged: bool
     iterations: int
@@ -233,7 +229,9 @@ class StabilityReport:
             "eigen_residual": self.eigen_residual,
             # only the sign of the bottom eigenvalue is computed, so the
             # unstable count is reported as a bound
-            "morse_index_bound": "at least 1" if self.verdict == "unstable" else "0",
+            "morse_index_bound": {"unstable": "at least 1", "undetermined": None}.get(
+                self.verdict, "0"
+            ),
             "rayleigh_history": list(self.rayleigh_history),
         }
 
@@ -315,14 +313,18 @@ def stability_index(
     """Smallest eigenvalue of the second-variation form over interior variations.
 
     The verdict uses the band epsilon = 1e-8 * median weighted diagonal:
-    stable above +epsilon, unstable below -epsilon, marginal in between.
+    stable above +epsilon, unstable below -epsilon, marginal in between. An
+    eigen-solve that stops at its iteration cap yields no verdict: it reads
+    "undetermined" whatever the last Ritz value was.
     """
     cfg = cfg or EigenConfig()
     form = SecondVariationForm(f, minimal_tol=minimal_tol, warn=warn)
     S, B_diag = form.assemble()
     theta, v, history, converged, iters, resid = _smallest_eigenpair(S, B_diag, cfg)
     epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B_diag)))
-    if theta > epsilon:
+    if not converged:
+        verdict = "undetermined"
+    elif theta > epsilon:
         verdict = "stable"
     elif theta < -epsilon:
         verdict = "unstable"

@@ -73,6 +73,19 @@ def test_solve_nonconvergence_exit_2(tmp_path):
         assert report["assertion_failures"]
 
 
+def test_unconverged_eigen_solve_exit_2(tmp_path):
+    doc = {
+        **BASE_SOLVE,
+        "output_dir": str(tmp_path / "out"),
+        "stability": {"max_iters": 1},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 2
+    assert report["results"]["solve"]["converged"]
+    assert report["results"]["stability"]["verdict"] == "undetermined"
+    assert any("eigen-solve did not converge" in msg for msg in report["assertion_failures"])
+
+
 def test_analyze_custom_map(tmp_path, rng):
     g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], (9, 9))
     f = holomorphic_power_map(g, 0.2, 2)
@@ -169,6 +182,27 @@ def test_sweep_command_reports_steps(tmp_path):
     assert len(steps) == 2
     assert steps[0]["sup_lambda_max"] < steps[1]["sup_lambda_max"]
     assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_unconverged_eigen_solve_exit_2(tmp_path):
+    doc = {
+        "command": "sweep",
+        "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [13, 13]},
+        "sweep": {
+            "family": "holomorphic_power",
+            "amplitude": 1.0,
+            "power": 2,
+            "s_values": [0.3],
+            "stability": True,
+        },
+        "stability": {"max_iters": 1},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 2
+    assert report["results"]["sweep"]["steps"][0]["stability_verdict"] == "undetermined"
+    assert report["assertion_failures"]
 
 
 def test_cli_main_validate_and_exit_codes(tmp_path, capsys):

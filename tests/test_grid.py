@@ -66,6 +66,15 @@ def test_gridmap_values_read_only(unit_square):
         f.values[0, 0, 0] = 3.0
 
 
+def test_gridmap_leaves_caller_array_writable(unit_square, rng):
+    a = rng.standard_normal(unit_square.counts + (2,))
+    f = GridMap(grid=unit_square, values=a)
+    assert a.flags.writeable
+    assert not np.shares_memory(a, f.values)
+    a[1, 1, 0] += 1.0
+    assert f.values[1, 1, 0] != a[1, 1, 0]
+
+
 def test_with_interior_values_preserves_boundary_bits(unit_square, rng):
     f = GridMap(grid=unit_square, values=rng.standard_normal(unit_square.counts + (2,)))
     g = f.with_interior_values(rng.standard_normal(unit_square.counts + (2,)))

@@ -249,3 +249,15 @@ def test_hessian_consistent_with_residual_derivative(unit_square):
 def test_eigen_config_validation():
     with pytest.raises(ValueError):
         EigenConfig(tol=-1.0)
+
+
+def test_unconverged_eigen_solve_is_undetermined(unit_square):
+    from minsurf import criteria_report
+
+    out = solve_dirichlet(holomorphic_power_map(unit_square, 0.3, 3))
+    rep = stability_index(out.solution, EigenConfig(max_iters=1))
+    assert not rep.converged
+    assert rep.verdict == "undetermined"
+    assert rep.summary()["morse_index_bound"] is None
+    verdict = criteria_report(out.solution, stability=rep)
+    assert any("undetermined" in note for note in verdict.notes)
