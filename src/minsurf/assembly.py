@@ -1,7 +1,7 @@
 """Sparse assembly of stencil-local operators by probing with colored fields.
 
-Both the Newton matrix (finite differences of the residual) and the
-second-variation operator have stencil radius one: the response at a node
+The area Hessian, which serves both as the Newton matrix and as the
+stability operator, has stencil radius one: the response at a node
 depends only on sources within Chebyshev distance one. Probing one
 congruence class of nodes per axis modulo 3 therefore lets every response
 entry be attributed to a unique source, and the full sparse matrix costs
@@ -30,7 +30,7 @@ def colored_stencil_matrix(response, grid: DomainGrid, m: int) -> sp.csr_matrix:
     """Assemble the matrix of a radius-one stencil-local linear response.
 
     ``response(probe)`` maps a counts + (m,) array to a counts + (m,) array
-    and must be (close to) linear with stencil radius one; probes are unit
+    and must be linear with stencil radius one; probes are unit
     indicators on interior nodes. Degrees of freedom are ordered node-major,
     components fastest.
     """

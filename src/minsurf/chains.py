@@ -39,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "SpectrumSample",
@@ -227,19 +226,28 @@ def _sample_dd(rng: np.random.Generator, n: int, count: int, lam_low: float, lam
     return lam, C
 
 
-def _sample_rank(rng: np.random.Generator, n: int, p: int, count: int, lam_high: float):
-    """Spectra with at most p nonzero entries and pairwise products capped at 1/(p-1)."""
-    lam = rng.uniform(0.0, lam_high, size=(count, n))
+def _sample_rank(
+    rng: np.random.Generator,
+    n: int,
+    p: int,
+    count: int,
+    lam_high: float,
+    lam_low: float = 0.0,
+    cap: bool = True,
+):
+    """Spectra with at most p nonzero entries, pairwise products capped at 1/(p-1) if ``cap``."""
+    lam = rng.uniform(lam_low, lam_high, size=(count, n))
     if p < n:
         order = np.argsort(rng.random((count, n)), axis=-1)
         mask = np.zeros((count, n))
         np.put_along_axis(mask, order[:, :p], 1.0, axis=-1)
         lam = lam * mask
-    top = np.sort(lam, axis=-1)
-    prod = top[:, -1] * top[:, -2]
-    bound = 1.0 / (p - 1)
-    factor = np.where(prod > bound, np.sqrt(bound / np.maximum(prod, 1e-300)), 1.0)
-    lam = lam * factor[:, None]
+    if cap:
+        top = np.sort(lam, axis=-1)
+        prod = top[:, -1] * top[:, -2]
+        bound = 1.0 / (p - 1)
+        factor = np.where(prod > bound, np.sqrt(bound / np.maximum(prod, 1e-300)), 1.0)
+        lam = lam * factor[:, None]
     C = rng.uniform(-1.0, 1.0, size=(count, n, n))
     return lam, C
 
@@ -268,12 +276,25 @@ class CampaignReport:
         }
 
 
-def _chunked(total: int, chunk: int):
-    done = 0
-    while done < total:
-        size = min(chunk, total - done)
-        yield size
-        done += size
+def _campaign_columns(work, samples: int, seed: int, threads: int, chunk: int) -> list[tuple]:
+    """Run ``work(rng, size)`` over chunks of the samples; one tuple per result slot.
+
+    Each chunk draws from its own child of ``SeedSequence(seed)``, so the
+    samples do not depend on ``threads``.
+    """
+    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+    jobs = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+
+    def job(args):
+        size, ss = args
+        return work(np.random.default_rng(ss), size)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(job, jobs))
+    else:
+        results = [job(j) for j in jobs]
+    return list(zip(*results))
 
 
 def run_dd_campaign(
@@ -291,12 +312,8 @@ def run_dd_campaign(
     asserted only when the sampling box keeps every stretch at most one.
     Margins are worst cases relative to the per-sample scale.
     """
-    seeds = np.random.SeedSequence(seed).spawn(len(list(_chunked(samples, chunk))))
-    sizes = list(_chunked(samples, chunk))
 
-    def work(args):
-        size, ss = args
-        rng = np.random.default_rng(ss)
+    def work(rng, size):
         lam, C = _sample_dd(rng, n, size, 0.0, lam_high)
         E1, E2, E3 = dd_chain_terms(lam, C)
         scale = chain_scale(C)
@@ -306,15 +323,10 @@ def run_dd_campaign(
             float((E3 / scale).min()),
         )
 
-    jobs = list(zip(sizes, seeds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-    min_e1_e2 = min(r[0] for r in results)
-    max_identity = max(r[1] for r in results)
-    min_e3 = min(r[2] for r in results)
+    e1_e2, identity, e3 = _campaign_columns(work, samples, seed, threads, chunk)
+    min_e1_e2 = min(e1_e2)
+    max_identity = max(identity)
+    min_e3 = min(e3)
     in_hyp = lam_high <= 1.0
     passed = min_e1_e2 >= -tol and max_identity <= tol
     if in_hyp:
@@ -345,12 +357,8 @@ def run_rank_campaign(
     chunk: int = 50_000,
 ) -> CampaignReport:
     """Randomized verification of the rank chain inside its hypotheses."""
-    sizes = list(_chunked(samples, chunk))
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def work(args):
-        size, ss = args
-        rng = np.random.default_rng(ss)
+    def work(rng, size):
         lam, C = _sample_rank(rng, n, p, size, lam_high=1.0)
         F0, Fd, Fo, Fl = rank_chain_terms(lam, C, p)
         scale = chain_scale(C)
@@ -362,19 +370,9 @@ def run_rank_campaign(
             float((Fl / scale).min()),
         )
 
-    jobs = list(zip(sizes, seeds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-    margins = {
-        "min_F0": min(r[0] for r in results),
-        "min_F0_minus_split": min(r[1] for r in results),
-        "min_Fdiag_minus_Flower": min(r[2] for r in results),
-        "min_Foffdiag": min(r[3] for r in results),
-        "min_Flower": min(r[4] for r in results),
-    }
+    names = ("min_F0", "min_F0_minus_split", "min_Fdiag_minus_Flower", "min_Foffdiag", "min_Flower")
+    columns = _campaign_columns(work, samples, seed, threads, chunk)
+    margins = {name: min(col) for name, col in zip(names, columns)}
     passed = all(v >= -tol for v in margins.values())
     return CampaignReport(
         chain=CHAIN_RANK,
@@ -543,24 +541,11 @@ def counterexample_search(
         remaining -= size
         evaluated += size
         if regime.chain == CHAIN_DD:
-            lam = rng.uniform(regime.lam_low, regime.lam_high, size=(size, regime.n))
-            C = rng.uniform(-1.0, 1.0, size=(size, regime.n, regime.n))
+            lam, C = _sample_dd(rng, regime.n, size, regime.lam_low, regime.lam_high)
         else:
-            lam = rng.uniform(regime.lam_low, regime.lam_high, size=(size, regime.n))
-            if regime.p < regime.n:
-                order = np.argsort(rng.random((size, regime.n)), axis=-1)
-                mask = np.zeros((size, regime.n))
-                np.put_along_axis(mask, order[:, : regime.p], 1.0, axis=-1)
-                lam = lam * mask
-            if regime.cap_products:
-                top = np.sort(lam, axis=-1)
-                prod = top[:, -1] * top[:, -2]
-                bound = 1.0 / (regime.p - 1)
-                factor = np.where(
-                    prod > bound, np.sqrt(bound / np.maximum(prod, 1e-300)), 1.0
-                )
-                lam = lam * factor[:, None]
-            C = rng.uniform(-1.0, 1.0, size=(size, regime.n, regime.n))
+            lam, C = _sample_rank(
+                rng, regime.n, regime.p, size, regime.lam_high, regime.lam_low, regime.cap_products
+            )
         margins = _regime_margin(regime, lam, C)
         k = int(np.argmin(margins))
         if margins[k] < best_margin:
@@ -568,6 +553,8 @@ def counterexample_search(
             best = (lam[k].copy(), C[k].copy())
 
     if polish and best is not None and best_margin < 0:
+        from scipy.optimize import minimize
+
         n = regime.n
 
         def objective(x):

@@ -45,7 +45,7 @@ from .homotopy import (
 )
 from .report import emit_plot_data, sha256_file, to_jsonable, write_report
 from .serialize import save_map
-from .solver import harmonic_extension, solve_dirichlet
+from .solver import continuation_solve, solve_dirichlet
 from .variation import SecondVariationForm, VariationField, first_variation, stability_index
 
 EXIT_OK = 0
@@ -89,7 +89,10 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotMinimalWarning)
             stability = stability_index(
-                f, cfg.stability.eigen_config(cfg.seed), minimal_tol=cfg.criteria.minimal_tol
+                f,
+                cfg.stability.eigen_config(cfg.seed),
+                minimal_tol=cfg.criteria.minimal_tol,
+                area=area,
             )
         results["stability"] = stability.summary()
         fields["eigenvector"] = stability.eigenvector
@@ -102,6 +105,7 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
         tol=cfg.criteria.tol,
         rank_tol=cfg.criteria.rank_tol,
         minimal_tol=cfg.criteria.minimal_tol,
+        area=area,
     )
     results["criteria"] = verdict.summary()
     return verdict
@@ -159,21 +163,14 @@ def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -
 def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
     grid = cfg.grid.build()
     base = cfg.sweep.base.sample(grid)
+    sweep = continuation_solve(
+        lambda s: GridMap(grid=grid, values=s * base.values), cfg.sweep.amplitudes, cfg.solver
+    )
     steps = []
-    prev_solution = None
-    first_failure = None
-    for s in cfg.sweep.amplitudes:
-        boundary = GridMap(grid=grid, values=s * base.values)
-        init = None
-        if prev_solution is not None:
-            carried = boundary.values.copy()
-            carried[grid.interior_mask] = prev_solution.values[grid.interior_mask]
-            init = GridMap(grid=grid, values=carried)
-        outcome = solve_dirichlet(boundary, init=init, cfg=cfg.solver)
+    for s, outcome in zip(sweep.amplitudes, sweep.outcomes):
         step = {"amplitude": s, **outcome.summary()}
         step.pop("area_history")
         if outcome.converged:
-            prev_solution = outcome.solution
             spectrum = singular_spectrum(jacobian(outcome.solution))
             step["sup_lambda_max"] = spectrum.sup_lambda_max("interior")
             step["sup_two_jacobian"] = spectrum.sup_two_jacobian("interior")
@@ -189,12 +186,8 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
                 step["stability_verdict"] = st.verdict
                 if st.verdict == "undetermined":
                     failures.append(f"amplitude {s}: {_undetermined_message(st)}")
-        else:
-            prev_solution = None
-            if first_failure is None:
-                first_failure = s
         steps.append(step)
-    results["sweep"] = {"steps": steps, "first_failure": first_failure}
+    results["sweep"] = {"steps": steps, "first_failure": sweep.first_failure}
     return EXIT_OPERATIONAL if failures else EXIT_OK
 
 

@@ -153,7 +153,6 @@ def _parse_solver(d: dict, path: str) -> SolverConfig:
         "max_fallback_iters",
         "line_search_factor",
         "sufficient_decrease",
-        "jacobian_fd_step",
         "max_backtracks",
     }
     _check_keys(d, allowed, path)
@@ -164,7 +163,6 @@ def _parse_solver(d: dict, path: str) -> SolverConfig:
         max_fallback_iters=_get_int(d, "max_fallback_iters", path, base.max_fallback_iters, minimum=1),
         line_search_factor=_get_number(d, "line_search_factor", path, base.line_search_factor, positive=True),
         sufficient_decrease=_get_number(d, "sufficient_decrease", path, base.sufficient_decrease, positive=True),
-        jacobian_fd_step=_get_number(d, "jacobian_fd_step", path, base.jacobian_fd_step, positive=True),
         max_backtracks=_get_int(d, "max_backtracks", path, base.max_backtracks, minimum=1),
     )
 

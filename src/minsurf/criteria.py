@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .area import minimal_system_residual
+from .area import AreaReport, minimal_system_residual
 from .errors import ContradictionDetected
 from .grid import GridMap, SingularSpectrumField, jacobian, singular_spectrum
 from .variation import StabilityReport
@@ -171,6 +171,7 @@ def criteria_report(
     rank_tol: float | None = None,
     minimal_tol: float = 1e-8,
     crosscheck_margin: float = 0.02,
+    area: AreaReport | None = None,
 ) -> CriteriaVerdict:
     """Evaluate both criteria and cross-check against a stability index.
 
@@ -181,6 +182,7 @@ def criteria_report(
     a relative margin on the criterion so that discretization error near the
     sharp thresholds cannot trigger false alarms, and is skipped when the
     stability verdict is "undetermined" (the eigen-solve did not converge).
+    ``area``, the residual report of f, is computed when not given.
     """
     if S is None:
         S = singular_spectrum(jacobian(f))
@@ -191,8 +193,9 @@ def criteria_report(
     dd = distance_decreasing_verdict(S, tol)
     tj = two_jacobian_verdict(S, p, tol)
 
-    residual = minimal_system_residual(f)
-    minimal = residual.residual_sup_norm <= minimal_tol
+    if area is None:
+        area = minimal_system_residual(f)
+    minimal = area.residual_sup_norm <= minimal_tol
     notes = []
     if not minimal:
         notes.append("hypotheses not met: not minimal")
@@ -233,7 +236,7 @@ def criteria_report(
         rank_tol=rank_tol,
         dimension_bound=1.0 / (f.grid.n - 1) if f.grid.n > 1 else None,
         minimal=minimal,
-        residual_sup_norm=residual.residual_sup_norm,
+        residual_sup_norm=area.residual_sup_norm,
         applicable=tuple(applicable),
         notes=tuple(notes),
         stability_min_eigenvalue=theta,

@@ -1,10 +1,11 @@
 """Damped Newton solver for the discrete minimal surface system.
 
-The iteration descends on the discrete area: the Newton matrix is the
-derivative of the residual assembled by colored finite differencing, steps
-are accepted by backtracking on the area value, and a gradient direction
-serves as fallback whenever the Newton direction is unusable. Boundary
-values never change, bit for bit.
+The iteration descends on the discrete area. The Newton matrix is the exact
+area Hessian of :class:`~minsurf.variation.SecondVariationForm`, the same
+operator the stability analysis diagonalizes, assembled by colored probing.
+Steps are accepted by backtracking on the area value, and a gradient
+direction serves as fallback whenever the Newton direction is unusable.
+Boundary values never change, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import scipy.sparse.linalg as spla
 
 from .area import discrete_area, minimal_system_residual
 from .assembly import colored_stencil_matrix, interior_dof_index
-from .grid import DomainGrid, GridMap
+from .grid import GridMap
+from .variation import SecondVariationForm
 
 __all__ = [
     "SolverConfig",
@@ -41,11 +43,10 @@ class SolverConfig:
     max_fallback_iters: int = 5000
     line_search_factor: float = 0.5
     sufficient_decrease: float = 1e-4
-    jacobian_fd_step: float = 1e-7
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if min(self.tol_residual_sup, self.jacobian_fd_step) <= 0:
+        if self.tol_residual_sup <= 0:
             raise ValueError("tolerances must be positive")
         if min(self.max_newton_iters, self.max_fallback_iters, self.max_backtracks) <= 0:
             raise ValueError("iteration caps must be positive")
@@ -127,18 +128,6 @@ def harmonic_extension(boundary: GridMap) -> GridMap:
     return GridMap(grid=grid, values=values)
 
 
-def _newton_matrix(f: GridMap, base_residual: np.ndarray, cfg: SolverConfig) -> sp.csr_matrix:
-    """Derivative of the residual by colored forward differencing."""
-    step = cfg.jacobian_fd_step * (1.0 + float(np.abs(f.values).max()))
-    grid = f.grid
-
-    def response(probe: np.ndarray) -> np.ndarray:
-        pert = GridMap(grid=grid, values=f.values + step * probe)
-        return (minimal_system_residual(pert).residual - base_residual) / step
-
-    return colored_stencil_matrix(response, grid, f.m)
-
-
 def _line_search(f, direction, area0, slope, res_sup0, cfg):
     """Backtracking on the area value; returns (new map, new area) or None.
 
@@ -197,15 +186,15 @@ def solve_dirichlet(
     message = ""
 
     def finish(converged: bool) -> SolveOutcome:
-        final = minimal_system_residual(f)
+        # report always belongs to the current f
         return SolveOutcome(
             solution=f,
             converged=converged,
             status=status,
             iterations=newton_iters,
             fallback_iterations=fallback_iters,
-            residual_sup_norm=final.residual_sup_norm,
-            residual_l2_norm=final.residual_l2_norm,
+            residual_sup_norm=report.residual_sup_norm,
+            residual_l2_norm=report.residual_l2_norm,
             area_history=tuple(areas),
             init_hash=init_hash,
             message=message,
@@ -216,10 +205,12 @@ def solve_dirichlet(
         direction = None
         if not use_fallback:
             newton_iters += 1
-            matrix = _newton_matrix(f, report.residual, cfg)
-            rhs = -report.residual[grid.interior_mask].ravel()
+            form = SecondVariationForm(f, warn=False, area=report)
+            hessian = colored_stencil_matrix(form.hessian_values, grid, f.m)
+            # residual is -grad/w, so H d = -grad reads H d = w * residual
+            rhs = (w * report.residual)[grid.interior_mask].ravel()
             try:
-                d = spla.spsolve(matrix.tocsc(), rhs)
+                d = spla.spsolve(hessian.tocsc(), rhs)
                 if np.all(np.isfinite(d)):
                     direction = np.zeros_like(f.values)
                     direction[grid.interior_mask] = d.reshape(-1, f.m)

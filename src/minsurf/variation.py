@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._stencils import corner_jacobians, corner_metrics, corner_weight, scatter_corner_flux, small_matmul
-from .area import minimal_system_residual
+from .area import AreaReport, minimal_system_residual
 from .assembly import colored_stencil_matrix, interior_dof_index
 from .errors import NotMinimalWarning
 from .grid import GridMap, induced_metric
@@ -78,19 +78,27 @@ def _as_values(V: VariationField | np.ndarray) -> np.ndarray:
 class SecondVariationForm:
     """Precomputed second-variation machinery at a fixed base map.
 
-    Exposes the quadratic form, the weighted operator (Hessian applied to a
-    variation), and a sparse assembly of that operator for eigenanalysis.
-    The weighted inner product is <V, W> = sum_nodes w sqrt(det G) <V, W>
-    with nodewise metric weights, so the eigenproblem discretizes the
-    continuum stability operator.
+    Its area Hessian (:meth:`hessian_values`) is the package's only Hessian:
+    Newton's method solves with it, and weighted by the nodewise metric
+    <V, W> = sum_nodes w sqrt(det G) <V, W> it is the stability operator
+    (:meth:`apply_values`, :meth:`assemble`), whose eigenproblem discretizes
+    the continuum one. ``area``, the residual report of f, is computed when
+    not given.
     """
 
-    def __init__(self, f: GridMap, minimal_tol: float = DEFAULT_MINIMAL_TOL, warn: bool = True):
+    def __init__(
+        self,
+        f: GridMap,
+        minimal_tol: float = DEFAULT_MINIMAL_TOL,
+        warn: bool = True,
+        area: AreaReport | None = None,
+    ):
         self.f = f
         self.grid = f.grid
         self.m = f.m
-        report = minimal_system_residual(f)
-        self.base_residual_sup = report.residual_sup_norm
+        if area is None:
+            area = minimal_system_residual(f)
+        self.base_residual_sup = area.residual_sup_norm
         if warn and self.base_residual_sup > minimal_tol:
             warnings.warn(
                 "second variation evaluated at a non-minimal map "
@@ -132,8 +140,8 @@ class SecondVariationForm:
 
     # -- operator form ----------------------------------------------------
 
-    def apply_values(self, Vvals: np.ndarray) -> np.ndarray:
-        """H V as a nodal array; <W, HV>_w equals the polarized quadratic form."""
+    def hessian_values(self, Vvals: np.ndarray) -> np.ndarray:
+        """H V, the exact derivative of the area gradient along V, zero on boundary rows."""
         B = corner_jacobians(Vvals, self.grid)
         M, tau = self._corner_terms(B)
         # (B - J G^-1 M) G^-1 = B G^-1 - J G^-1 M G^-1
@@ -141,10 +149,11 @@ class SecondVariationForm:
         flux += 0.5 * tau * self._JGi
         flux *= self._sqrtg
         out = self._wc * scatter_corner_flux(flux, self.grid)
-        out = np.where(
-            self._interior[..., None], out / self._node_weight[..., None], 0.0
-        )
-        return out
+        return np.where(self._interior[..., None], out, 0.0)
+
+    def apply_values(self, Vvals: np.ndarray) -> np.ndarray:
+        """H V / w as a nodal array; <W, HV>_w equals the polarized quadratic form."""
+        return self.hessian_values(Vvals) / self._node_weight[..., None]
 
     def apply(self, V: VariationField) -> VariationField:
         return VariationField(grid=self.grid, values=self.apply_values(_as_values(V)))
@@ -154,13 +163,10 @@ class SecondVariationForm:
         return float(np.sum(self._node_weight * prod))
 
     def assemble(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Sparse operator over interior dofs plus the diagonal weight matrix."""
-        H_unweighted = colored_stencil_matrix(self.apply_values, self.grid, self.m)
-        node_rank, interior_nodes = interior_dof_index(self.grid)
-        w_int = self._node_weight[tuple(interior_nodes.T)]
-        B_diag = np.repeat(w_int, self.m)
-        # symmetric matrix in the weighted pairing: S = B H, so solve S v = theta B v
-        S = sp.diags(B_diag) @ H_unweighted
+        """Hessian over interior dofs and the weights B: S v = theta B v is the stability pencil."""
+        S = colored_stencil_matrix(self.hessian_values, self.grid, self.m)
+        _, interior_nodes = interior_dof_index(self.grid)
+        B_diag = np.repeat(self._node_weight[tuple(interior_nodes.T)], self.m)
         S = (S + S.T) * 0.5
         return S.tocsr(), B_diag
 
@@ -309,16 +315,18 @@ def stability_index(
     cfg: EigenConfig | None = None,
     minimal_tol: float = DEFAULT_MINIMAL_TOL,
     warn: bool = True,
+    area: AreaReport | None = None,
 ) -> StabilityReport:
     """Smallest eigenvalue of the second-variation form over interior variations.
 
     The verdict uses the band epsilon = 1e-8 * median weighted diagonal:
     stable above +epsilon, unstable below -epsilon, marginal in between. An
     eigen-solve that stops at its iteration cap yields no verdict: it reads
-    "undetermined" whatever the last Ritz value was.
+    "undetermined" whatever the last Ritz value was. ``area``, the residual
+    report of f, is computed when not given.
     """
     cfg = cfg or EigenConfig()
-    form = SecondVariationForm(f, minimal_tol=minimal_tol, warn=warn)
+    form = SecondVariationForm(f, minimal_tol=minimal_tol, warn=warn, area=area)
     S, B_diag = form.assemble()
     theta, v, history, converged, iters, resid = _smallest_eigenpair(S, B_diag, cfg)
     epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B_diag)))

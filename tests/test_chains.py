@@ -184,3 +184,32 @@ def test_search_regime_validation():
         SearchRegime(chain="rank", n=3)  # missing p
     with pytest.raises(ValueError):
         counterexample_search(SearchRegime(chain="distance_decreasing", n=2), budget=0)
+
+
+def test_campaigns_do_not_depend_on_threads():
+    for threads in (1, 2):
+        dd = run_dd_campaign(3, 120_000, seed=5, lam_high=1.5, threads=threads, chunk=50_000)
+        rank = run_rank_campaign(4, 3, 120_000, seed=6, threads=threads, chunk=50_000)
+        if threads == 1:
+            reference = (dd.summary(), rank.summary())
+        else:
+            assert (dd.summary(), rank.summary()) == reference
+
+
+def test_cli_import_leaves_optimizer_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import minsurf
+
+    src = str(Path(minsurf.__file__).resolve().parent.parent)
+    code = "import sys, minsurf.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

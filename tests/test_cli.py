@@ -235,3 +235,27 @@ def test_absent_sections_noted_in_manifest(tmp_path):
     _, report = run(parse_config(doc))
     assert "homotopy_profile" in report["artifacts"]["absent"]
     assert "sweep" in report["artifacts"]["absent"]
+
+
+def test_analysis_computes_one_residual_per_map(tmp_path, monkeypatch):
+    import minsurf.area
+    import minsurf.cli as cli_module
+    import minsurf.criteria
+    import minsurf.variation
+
+    calls = []
+    original = minsurf.area.minimal_system_residual
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (minsurf.area, cli_module, minsurf.criteria, minsurf.variation):
+        monkeypatch.setattr(module, "minimal_system_residual", counting)
+    cfg = parse_config({**BASE_SOLVE, "output_dir": str(tmp_path / "out")})
+    assert cfg.stability.enabled
+    f = holomorphic_power_map(cfg.grid.build(), 0.3, 3)
+    results, failures, fields = {}, [], {}
+    cli_module._analysis_sections(f, cfg, results, failures, fields)
+    assert "stability" in results and "criteria" in results
+    assert len(calls) == 1
