@@ -170,7 +170,9 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
     for s, outcome in zip(sweep.amplitudes, sweep.outcomes):
         step = {"amplitude": s, **outcome.summary()}
         step.pop("area_history")
-        if outcome.converged:
+        if not outcome.converged:
+            failures.append(f"amplitude {s}: solver did not converge: {outcome.status}")
+        else:
             spectrum = singular_spectrum(jacobian(outcome.solution))
             step["sup_lambda_max"] = spectrum.sup_lambda_max("interior")
             step["sup_two_jacobian"] = spectrum.sup_two_jacobian("interior")

@@ -14,11 +14,10 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .area import discrete_area, minimal_system_residual
-from .assembly import colored_stencil_matrix, interior_dof_index
+from .assembly import colored_stencil_matrix
 from .grid import GridMap
 from .variation import SecondVariationForm
 
@@ -91,40 +90,31 @@ def _map_hash(f: GridMap) -> str:
 def harmonic_extension(boundary: GridMap) -> GridMap:
     """Componentwise harmonic extension of the boundary values.
 
-    Solves the standard 2n+1 point Laplacian with the given Dirichlet data;
-    the default initializer for Dirichlet solves.
+    Solves the standard 2n+1 point Laplacian with the given Dirichlet data
+    exactly by sine-basis diagonalization, and copies boundary entries
+    unchanged; the default initializer for Dirichlet solves.
     """
     grid = boundary.grid
-    node_rank, interior_nodes = interior_dof_index(grid)
-    n_int = interior_nodes.shape[0]
-    counts = np.array(grid.counts)
-    h2 = np.array(grid.spacings) ** 2
+    inner = (slice(1, -1),) * grid.n
+    data = np.where(grid.interior_mask[..., None], 0.0, boundary.values)
+    rhs = lam = 0.0
+    bases = []
+    for ax, (c, h) in enumerate(zip(grid.counts, grid.spacings)):
+        # only boundary neighbours of interior nodes are nonzero in data
+        for shift in (slice(0, -2), slice(2, None)):
+            rhs = rhs + data[inner[:ax] + (shift,) + inner[ax + 1 :]] / h**2
+        # orthonormal symmetric sine matrix and eigenvalues of this axis' second difference
+        k = np.arange(1, c - 1)
+        bases.append(np.sqrt(2.0 / (c - 1)) * np.sin(np.pi * np.outer(k, k) / (c - 1)))
+        lam = np.add.outer(lam, (2.0 - 2.0 * np.cos(np.pi * k / (c - 1))) / h**2)
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros((n_int, boundary.m))
-    ranks = node_rank[tuple(interior_nodes.T)]
-    diag = np.sum(2.0 / h2)
-    rows.extend(ranks)
-    cols.extend(ranks)
-    vals.extend(np.full(n_int, diag))
-    for ax in range(grid.n):
-        for sign in (-1, 1):
-            nbr = interior_nodes.copy()
-            nbr[:, ax] += sign
-            on_boundary = (nbr[:, ax] == 0) | (nbr[:, ax] == counts[ax] - 1)
-            nbr_rank = node_rank[tuple(nbr.T)]
-            inside = ~on_boundary
-            rows.extend(ranks[inside])
-            cols.extend(nbr_rank[inside])
-            vals.extend(np.full(int(inside.sum()), -1.0 / h2[ax]))
-            bvals = boundary.values[tuple(nbr[on_boundary].T)]
-            rhs[ranks[on_boundary]] += bvals / h2[ax]
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n_int, n_int)).tocsc()
-    sol = spla.spsolve(A, rhs)
-    if sol.ndim == 1:
-        sol = sol[:, None]
+    def transform(u):
+        for ax, Q in enumerate(bases):
+            u = np.moveaxis(np.tensordot(Q, u, axes=(1, ax)), 0, ax)
+        return u
+
     values = boundary.values.copy()
-    values[grid.interior_mask] = sol
+    values[inner] = transform(transform(rhs) / lam[..., None])
     return GridMap(grid=grid, values=values)
 
 

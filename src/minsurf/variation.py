@@ -17,7 +17,8 @@ inner product is the stability index.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from ._stencils import corner_jacobians, corner_metrics, corner_weight, scatter_corner_flux, small_matmul
 from .area import AreaReport, minimal_system_residual
-from .assembly import colored_stencil_matrix, interior_dof_index
+from .assembly import colored_stencil_matrix
 from .errors import NotMinimalWarning
 from .grid import GridMap, induced_metric
 
@@ -111,10 +112,12 @@ class SecondVariationForm:
         self._Ginv, self._sqrtg = corner_metrics(self._J)
         self._JGi = small_matmul(self._J, self._Ginv)
         self._wc = corner_weight(self.grid)
-        node_metric = induced_metric(f)
-        w = self.grid.quadrature_weights * node_metric.sqrt_det
-        self._node_weight = w
         self._interior = self.grid.interior_mask
+
+    @cached_property
+    def _node_weight(self) -> np.ndarray:
+        # built on first use: Newton reads only hessian_values
+        return self.grid.quadrature_weights * induced_metric(self.f).sqrt_det
 
     # -- scalar quantities ------------------------------------------------
 
@@ -165,8 +168,7 @@ class SecondVariationForm:
     def assemble(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """Hessian over interior dofs and the weights B: S v = theta B v is the stability pencil."""
         S = colored_stencil_matrix(self.hessian_values, self.grid, self.m)
-        _, interior_nodes = interior_dof_index(self.grid)
-        B_diag = np.repeat(self._node_weight[tuple(interior_nodes.T)], self.m)
+        B_diag = np.repeat(self._node_weight[self._interior], self.m)
         S = (S + S.T) * 0.5
         return S.tocsr(), B_diag
 

@@ -259,3 +259,25 @@ def test_analysis_computes_one_residual_per_map(tmp_path, monkeypatch):
     cli_module._analysis_sections(f, cfg, results, failures, fields)
     assert "stability" in results and "criteria" in results
     assert len(calls) == 1
+
+
+def test_sweep_unconverged_solve_exit_2(tmp_path):
+    doc = {
+        "command": "sweep",
+        "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [13, 13]},
+        "sweep": {
+            "family": "holomorphic_power",
+            "amplitude": 1.0,
+            "power": 2,
+            "s_values": [0.2, 3.0, 0.4],
+        },
+        "solver": {"max_newton_iters": 1, "max_fallback_iters": 2},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 2
+    sweep = report["results"]["sweep"]
+    assert [step["converged"] for step in sweep["steps"]] == [True, False, True]
+    assert sweep["first_failure"] == 3.0
+    assert any("amplitude 3.0" in msg for msg in report["assertion_failures"])
