@@ -21,12 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .area import codim1_residual, fd_gradient_check, minimal_system_residual
-from .chains import (
-    SearchRegime,
-    counterexample_search,
-    run_dd_campaign,
-    run_rank_campaign,
-)
+from .chains import counterexample_search, run_dd_campaign, run_rank_campaign
 from .config import MapSpec, RunConfig, load_config, parse_config
 from .criteria import criteria_report
 from .errors import ConfigError, ContradictionDetected, NotMinimalWarning
@@ -89,10 +84,7 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotMinimalWarning)
             stability = stability_index(
-                f,
-                cfg.stability.eigen_config(cfg.seed),
-                minimal_tol=cfg.criteria.minimal_tol,
-                area=area,
+                f, cfg.stability, minimal_tol=cfg.criteria.minimal_tol, area=area
             )
         results["stability"] = stability.summary()
         fields["eigenvector"] = stability.eigenvector
@@ -180,9 +172,7 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", NotMinimalWarning)
                     st = stability_index(
-                        outcome.solution,
-                        cfg.stability.eigen_config(cfg.seed),
-                        minimal_tol=cfg.criteria.minimal_tol,
+                        outcome.solution, cfg.stability, minimal_tol=cfg.criteria.minimal_tol
                     )
                 step["min_eigenvalue"] = st.min_eigenvalue
                 step["stability_verdict"] = st.verdict
@@ -224,23 +214,15 @@ def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> 
                     failures.append(f"rank chain violated inside hypotheses at n={n}, p={p}")
     results["campaigns"] = campaigns
     searches = []
-    for sd in spec.searches:
-        regime = SearchRegime(
-            chain=sd.chain,
-            n=sd.n,
-            lam_low=sd.lam_low,
-            lam_high=sd.lam_high,
-            p=sd.p,
-            cap_products=sd.cap_products,
-        )
-        report = counterexample_search(regime, sd.budget, seed=int(next(child)))
+    for search in spec.searches:
+        report = counterexample_search(search, search.budget, seed=int(next(child)))
         searches.append(report.summary())
         in_hypothesis = (
-            regime.lam_high <= 1.0 if regime.chain == "distance_decreasing" else regime.cap_products
+            search.lam_high <= 1.0 if search.chain == "distance_decreasing" else search.cap_products
         )
         if in_hypothesis and report.found:
             failures.append(
-                f"counterexample found inside hypotheses ({regime.chain}, n={regime.n})"
+                f"counterexample found inside hypotheses ({search.chain}, n={search.n})"
             )
     results["searches"] = searches
     return EXIT_ASSERTION if failures else EXIT_OK
@@ -319,7 +301,7 @@ def _cmd_validate(cfg: RunConfig, results: dict, failures: list, fields: dict) -
 
     if n == 2:
         flat = GridMap.constant(grid, [0.0])
-        st = stability_index(flat, cfg.stability.eigen_config(cfg.seed), warn=False)
+        st = stability_index(flat, cfg.stability, warn=False)
         target = 2.0 * np.pi**2
         check("flat_eigenvalue_rel_err", abs(st.min_eigenvalue - target) / target, 0.02)
 
@@ -330,9 +312,7 @@ def _cmd_validate(cfg: RunConfig, results: dict, failures: list, fields: dict) -
             gN = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], (N, N))
             sup = minimal_system_residual(holomorphic_power_map(gN, 0.3, 3)).residual_sup_norm
             residual_rows.append({"nodes_per_axis": N, "h": gN.spacings[0], "value": sup})
-            stN = stability_index(
-                GridMap.constant(gN, [0.0]), cfg.stability.eigen_config(cfg.seed), warn=False
-            )
+            stN = stability_index(GridMap.constant(gN, [0.0]), cfg.stability, warn=False)
             eigen_rows.append(
                 {"nodes_per_axis": N, "h": gN.spacings[0], "value": stN.min_eigenvalue}
             )
@@ -434,10 +414,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, overrides)
         else:
             cfg = parse_config(dict(DEFAULT_VALIDATE), overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_OPERATIONAL
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

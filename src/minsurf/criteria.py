@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .area import AreaReport, minimal_system_residual
 from .errors import ContradictionDetected
 from .grid import GridMap, SingularSpectrumField, jacobian, singular_spectrum
-from .variation import StabilityReport
+from .variation import DEFAULT_MINIMAL_TOL, StabilityReport
 
 __all__ = [
     "DistanceDecreasingVerdict",
@@ -33,6 +33,9 @@ DD_FAILS = "fails"
 TJ_PASSES = "passes"
 TJ_FAILS = "fails"
 
+# band around each criterion threshold inside which a verdict is not strict
+DEFAULT_TOL = 1e-9
+
 # criterion tags listed as applicable in combined reports
 TAG_DISTANCE_DECREASING = "distance-decreasing-stability"
 TAG_TWO_JACOBIAN = "two-jacobian-stability"
@@ -48,7 +51,9 @@ class DistanceDecreasingVerdict:
     tol: float
 
 
-def distance_decreasing_verdict(S: SingularSpectrumField, tol: float = 1e-9) -> DistanceDecreasingVerdict:
+def distance_decreasing_verdict(
+    S: SingularSpectrumField, tol: float = DEFAULT_TOL
+) -> DistanceDecreasingVerdict:
     """Classify the map by its largest stretch over interior nodes.
 
     Strict below 1 - tol, failing above 1 + tol, non-strict in the band.
@@ -92,7 +97,9 @@ class TwoJacobianVerdict:
     vacuous: bool
 
 
-def two_jacobian_verdict(S: SingularSpectrumField, p: int, tol: float = 1e-9) -> TwoJacobianVerdict:
+def two_jacobian_verdict(
+    S: SingularSpectrumField, p: int, tol: float = DEFAULT_TOL
+) -> TwoJacobianVerdict:
     """Two-Jacobian criterion at rank bound p.
 
     For p <= 1 the product of the two largest stretches vanishes identically
@@ -167,9 +174,9 @@ def criteria_report(
     f: GridMap,
     S: SingularSpectrumField | None = None,
     stability: StabilityReport | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     rank_tol: float | None = None,
-    minimal_tol: float = 1e-8,
+    minimal_tol: float = DEFAULT_MINIMAL_TOL,
     crosscheck_margin: float = 0.02,
     area: AreaReport | None = None,
 ) -> CriteriaVerdict:

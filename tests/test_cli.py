@@ -281,3 +281,68 @@ def test_sweep_unconverged_solve_exit_2(tmp_path):
     assert [step["converged"] for step in sweep["steps"]] == [True, False, True]
     assert sweep["first_failure"] == 3.0
     assert any("amplitude 3.0" in msg for msg in report["assertion_failures"])
+
+
+SWEEP_DOC = {
+    "command": "sweep",
+    "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [9, 9]},
+    "sweep": {"family": "holomorphic_power", "amplitude": 1.0, "power": 2, "s_values": [0.1]},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({**BASE_SOLVE, "solver": {"line_search_factor": 1.5}}, "solver"),
+        ({**BASE_SOLVE, "solver": 5}, "solver"),
+        ({**BASE_SOLVE, "grid": 5}, "grid"),
+        ({"command": "oracle", "oracle": {"n_values": ["a"]}}, "oracle.n_values"),
+        ({**SWEEP_DOC, "sweep": {**SWEEP_DOC["sweep"], "s_values": ["a"]}}, "sweep.s_values"),
+        ({**BASE_SOLVE, "criteria": {"tol": -1e-9}}, "criteria.tol"),
+        ({**BASE_SOLVE, "seed": -1}, "seed"),
+        (
+            {"command": "oracle", "oracle": {"searches": [{"chain": "rank", "n": 3}]}},
+            "oracle.searches[0]",
+        ),
+        (
+            {
+                "command": "oracle",
+                "oracle": {"searches": [{"chain": "distance_decreasing", "n": 2, "lam_low": 2.0}]},
+            },
+            "oracle.searches[0]",
+        ),
+    ],
+    ids=[
+        "line-search-factor",
+        "solver-not-mapping",
+        "grid-not-mapping",
+        "n-values-element",
+        "s-values-element",
+        "criteria-tol-negative",
+        "seed-negative",
+        "rank-search-without-p",
+        "search-lam-low-above-high",
+    ],
+)
+def test_malformed_value_exit_2(tmp_path, capsys, doc, path):
+    config = write_config(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_directory_exit_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"command: solve\noutput_dir: caf\xe9\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_stability_carries_run_seed():
+    cfg = parse_config({**BASE_SOLVE, "seed": 11}, {"seed": 13})
+    assert (cfg.stability.seed, cfg.stability.enabled) == (13, True)
