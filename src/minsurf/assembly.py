@@ -1,4 +1,4 @@
-"""Sparse assembly of stencil-local operators by probing with colored fields.
+"""Sparse assembly of stencil-local operators: interior-dof numbering, probing, factor order.
 
 The area Hessian, which serves both as the Newton matrix and as the
 stability operator, has stencil radius one: the response at a node
@@ -6,16 +6,21 @@ depends only on sources within Chebyshev distance one. Probing one
 congruence class of nodes per axis modulo 3 therefore lets every response
 entry be attributed to a unique source, and the full sparse matrix costs
 3^n * m operator applications.
+
+Every sparse LU of these matrices is ordered by ``dissection_permutation``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 import scipy.sparse as sp
 
 from .grid import DomainGrid
+
+_LEAF_NODES = 8  # dissection blocks this small are not split further
 
 
 def interior_dof_index(grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -24,6 +29,29 @@ def interior_dof_index(grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
     interior = grid.interior_mask
     idx[interior] = np.arange(int(interior.sum()))
     return idx, np.argwhere(interior)
+
+
+@functools.lru_cache(maxsize=None)
+def _dissection_nodes(shape: tuple[int, ...]) -> np.ndarray:
+    order = np.arange(int(np.prod(shape)))
+    if order.size > _LEAF_NODES:
+        ax = int(np.argmax(shape))
+        mid = shape[ax] // 2
+        low, plane, high = np.split(order.reshape(shape), [mid, mid + 1], axis=ax)
+        halves = [b.ravel()[_dissection_nodes(b.shape)] for b in (low, high)]
+        order = np.concatenate(halves + [plane.ravel()])
+    order.setflags(write=False)
+    return order
+
+
+def dissection_permutation(grid: DomainGrid, m: int) -> np.ndarray:
+    """Nested-dissection order of the interior dofs (node-major, components fastest).
+
+    The middle node plane across the longest axis of the interior box separates its halves
+    under a radius-one stencil; the halves come first, each ordered the same way, then the plane.
+    """
+    nodes = _dissection_nodes(tuple(c - 2 for c in grid.counts))
+    return (nodes[:, None] * m + np.arange(m)).ravel()
 
 
 def colored_stencil_matrix(response, grid: DomainGrid, m: int) -> sp.csr_matrix:

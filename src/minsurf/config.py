@@ -133,6 +133,7 @@ class GridSpec:
     def __post_init__(self):
         if len(self.extents) != len(self.counts):
             raise ValueError("extents and counts must have equal length")
+        self.build()  # finite extents with a < b
 
     def build(self) -> DomainGrid:
         return build_grid(len(self.counts), self.extents, self.counts)
@@ -267,6 +268,7 @@ class ValidateSpec:
 
 # range rules of each section (see _check)
 _CHECKS = {
+    "grid": {"counts": 3},
     "solver": {
         "tol_residual_sup": _POSITIVE,
         "max_newton_iters": 1,
@@ -285,7 +287,7 @@ _CHECKS = {
         "tol": _POSITIVE,
         "searches": {"chain": _CHAINS, "n": 2, "p": 2, "budget": 1},
     },
-    "validate": {"oracle_samples": 100, "trials": 1},
+    "validate": {"oracle_samples": 100, "counts": 3, "trials": 1},
 }
 
 # sections a command cannot run without

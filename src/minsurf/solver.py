@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .area import discrete_area, minimal_system_residual
-from .assembly import colored_stencil_matrix
+from .assembly import colored_stencil_matrix, dissection_permutation
 from .grid import GridMap
 from .variation import SecondVariationForm
 
@@ -199,8 +199,10 @@ def solve_dirichlet(
             hessian = colored_stencil_matrix(form.hessian_values, grid, f.m)
             # residual is -grad/w, so H d = -grad reads H d = w * residual
             rhs = (w * report.residual)[grid.interior_mask].ravel()
+            p = dissection_permutation(grid, f.m)
+            d = np.empty_like(rhs)
             try:
-                d = spla.spsolve(hessian.tocsc(), rhs)
+                d[p] = spla.spsolve(hessian[p][:, p].tocsc(), rhs[p], permc_spec="NATURAL")
                 if np.all(np.isfinite(d)):
                     direction = np.zeros_like(f.values)
                     direction[grid.interior_mask] = d.reshape(-1, f.m)

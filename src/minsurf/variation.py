@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from ._stencils import corner_jacobians, corner_metrics, corner_weight, scatter_corner_flux, small_matmul
 from .area import AreaReport, minimal_system_residual
-from .assembly import colored_stencil_matrix
+from .assembly import colored_stencil_matrix, dissection_permutation
 from .errors import NotMinimalWarning
 from .grid import GridMap, induced_metric
 
@@ -254,7 +254,7 @@ def _gershgorin_lower_bound(S: sp.csr_matrix, B_diag: np.ndarray) -> float:
     return float(np.min(centers - radii))
 
 
-def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig):
+def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig, perm: np.ndarray):
     """Block shifted inverse iteration on the pencil S v = theta B v.
 
     The initial shift sits below the Gershgorin lower bound of the weighted
@@ -263,6 +263,7 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig):
     operator carries one copy of the spectrum per target component); once
     the smallest Ritz value settles, the shift is moved next to it so the
     final convergence is fast even when the Gershgorin bound is far away.
+    Each S - sigma B is factored in the dof order ``perm``.
     """
     size = B_diag.shape[0]
     block = min(4, size)
@@ -270,7 +271,13 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig):
     lower = _gershgorin_lower_bound(S, B_diag)
     sigma = lower - 1e-2 * (abs(lower) + 1.0)
     B = sp.diags(B_diag)
-    lu = spla.splu((S - sigma * B).tocsc())
+    inverse = np.argsort(perm)
+
+    def shifted_solver(shift):
+        lu = spla.splu((S - shift * B)[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        return lambda Y: lu.solve(Y[perm])[inverse]
+
+    solve = shifted_solver(sigma)
     rng = np.random.default_rng(cfg.seed)
     X = rng.standard_normal((size, block))
 
@@ -287,7 +294,7 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig):
     refactors = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        X = b_orthonormalize(lu.solve(B_diag[:, None] * X))
+        X = b_orthonormalize(solve(B_diag[:, None] * X))
         SX = S.dot(X)
         ritz_vals, U = np.linalg.eigh(X.T @ SX)
         X = X @ U
@@ -307,7 +314,7 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig):
         if settled and refactors < 3 and theta - sigma > 0.3 * (abs(theta) + 1.0):
             gap = float(ritz_vals[-1] - ritz_vals[0]) if block > 1 else abs(theta)
             sigma = theta - max(0.05 * gap, 1e-3 * (1.0 + abs(theta)))
-            lu = spla.splu((S - sigma * B).tocsc())
+            solve = shifted_solver(sigma)
             refactors += 1
     return theta, X[:, 0], history, converged, it, resid
 
@@ -330,7 +337,8 @@ def stability_index(
     cfg = cfg or EigenConfig()
     form = SecondVariationForm(f, minimal_tol=minimal_tol, warn=warn, area=area)
     S, B_diag = form.assemble()
-    theta, v, history, converged, iters, resid = _smallest_eigenpair(S, B_diag, cfg)
+    perm = dissection_permutation(f.grid, f.m)
+    theta, v, history, converged, iters, resid = _smallest_eigenpair(S, B_diag, cfg, perm)
     epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B_diag)))
     if not converged:
         verdict = "undetermined"

@@ -311,6 +311,10 @@ SWEEP_DOC = {
             },
             "oracle.searches[0]",
         ),
+        ({**BASE_SOLVE, "grid": {**BASE_SOLVE["grid"], "counts": [2, 5]}}, "grid.counts[0]: must be >= 3"),
+        ({**BASE_SOLVE, "grid": {"extents": [[1.0, 0.0], [0.0, 1.0]], "counts": [5, 5]}}, "grid: axis 0"),
+        ({**BASE_SOLVE, "grid": {"extents": [[0.0, 1.0], [0.0, float("inf")]], "counts": [5, 5]}}, "grid: axis 1"),
+        ({"command": "validate", "validate": {"counts": [2, 2]}}, "validate.counts[0]: must be >= 3"),
     ],
     ids=[
         "line-search-factor",
@@ -322,6 +326,10 @@ SWEEP_DOC = {
         "seed-negative",
         "rank-search-without-p",
         "search-lam-low-above-high",
+        "grid-counts-below-3",
+        "grid-extents-reversed",
+        "grid-extents-infinite",
+        "validate-counts-below-3",
     ],
 )
 def test_malformed_value_exit_2(tmp_path, capsys, doc, path):

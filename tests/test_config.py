@@ -272,6 +272,11 @@ BAD = {
     "grid-unknown": (_with(SOLVE, "grid", spacing=1), "grid.spacing:"),
     "grid-type": (_with(SOLVE, "grid", counts=5), "grid.counts:"),
     "grid-missing": ({**SOLVE, "grid": {"counts": [9, 9]}}, "grid.extents:"),
+    "grid-min": (_with(SOLVE, "grid", counts=[9, 2]), "grid.counts[1]: must be >= 3"),
+    "grid-reversed": (_with(SOLVE, "grid", extents=[[2.0, 0.0], [-1.0, 1.0]]), "grid: axis 0:"),
+    "grid-empty": (_with(SOLVE, "grid", extents=[[0.0, 2.0], [1.0, 1.0]]), "grid: axis 1:"),
+    "grid-infinite": (_with(SOLVE, "grid", extents=[[0.0, float("inf")], [-1.0, 1.0]]), "grid: axis 0:"),
+    "grid-nan": (_with(SOLVE, "grid", extents=[[0.0, 2.0], [float("nan"), 1.0]]), "grid: axis 1:"),
     "boundary-unknown": (_with(SOLVE, "boundary", matrix=[[1, 0]]), "boundary.matrix:"),
     "boundary-type": (_with(SOLVE, "boundary", amplitude="big"), "boundary.amplitude:"),
     "boundary-bool": (_with(SOLVE, "boundary", amplitude=True), "boundary.amplitude:"),
@@ -332,6 +337,7 @@ BAD = {
     "validate-type": (_with(ORACLE, "validate", counts=17), "validate.counts:"),
     "validate-min": (_with(ORACLE, "validate", oracle_samples=99), "validate.oracle_samples:"),
     "validate-trials": (_with(ORACLE, "validate", trials=0), "validate.trials:"),
+    "validate-counts": (_with(ORACLE, "validate", counts=[2, 2]), "validate.counts[0]: must be >= 3"),
 }
 
 
