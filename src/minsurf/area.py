@@ -22,6 +22,7 @@ import numpy as np
 
 from ._stencils import corner_jacobians, corner_metrics, corner_weight, scatter_corner_flux, small_matmul
 from .grid import GridMap
+from .report import Summarized
 
 __all__ = [
     "AreaReport",
@@ -33,7 +34,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AreaReport:
+class AreaReport(Summarized):
     """Area value plus the pointwise minimal-surface residual field.
 
     The residual lives on interior nodes only; boundary rows are zero by
@@ -44,13 +45,6 @@ class AreaReport:
     residual: np.ndarray  # counts + (m,)
     residual_sup_norm: float
     residual_l2_norm: float
-
-    def summary(self) -> dict:
-        return {
-            "total_area": self.total_area,
-            "residual_sup_norm": self.residual_sup_norm,
-            "residual_l2_norm": self.residual_l2_norm,
-        }
 
 
 def discrete_area(f: GridMap) -> float:

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .report import Summarized
+
 __all__ = [
     "SpectrumSample",
     "ChainEvaluation",
@@ -253,7 +255,7 @@ def _sample_rank(
 
 
 @dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(Summarized):
     chain: str
     n: int
     p: int | None
@@ -262,18 +264,6 @@ class CampaignReport:
     worst_margins: dict
     identity_max_defect: float | None
     passed: bool
-
-    def summary(self) -> dict:
-        return {
-            "chain": self.chain,
-            "n": self.n,
-            "p": self.p,
-            "samples": self.samples,
-            "seed": self.seed,
-            "worst_margins": dict(self.worst_margins),
-            "identity_max_defect": self.identity_max_defect,
-            "passed": self.passed,
-        }
 
 
 def _campaign_columns(work, samples: int, seed: int, threads: int, chunk: int) -> list[tuple]:

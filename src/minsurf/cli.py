@@ -61,11 +61,17 @@ def _sample_endpoint(spec: MapSpec, grid, cfg: RunConfig, rng) -> GridMap:
     return f
 
 
-def _undetermined_message(stability) -> str:
-    return (
-        f"eigen-solve did not converge in {stability.iterations} iterations "
-        f"(residual {stability.eigen_residual:.3e}); stability undetermined"
-    )
+def _stability(f: GridMap, cfg: RunConfig, failures: list, where: str = "", area=None):
+    """Stability index of a (near-)minimal map; an unconverged eigen-solve is a failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotMinimalWarning)
+        st = stability_index(f, cfg.stability, minimal_tol=cfg.criteria.minimal_tol, area=area)
+    if st.verdict == "undetermined":
+        failures.append(
+            f"{where}eigen-solve did not converge in {st.iterations} iterations "
+            f"(residual {st.eigen_residual:.3e}); stability undetermined"
+        )
+    return st
 
 
 def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list, fields: dict):
@@ -81,15 +87,9 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
     fields["residual"] = area.residual
     stability = None
     if cfg.stability.enabled:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotMinimalWarning)
-            stability = stability_index(
-                f, cfg.stability, minimal_tol=cfg.criteria.minimal_tol, area=area
-            )
+        stability = _stability(f, cfg, failures, area=area)
         results["stability"] = stability.summary()
         fields["eigenvector"] = stability.eigenvector
-        if stability.verdict == "undetermined":
-            failures.append(_undetermined_message(stability))
     verdict = criteria_report(
         f,
         S=spectrum,
@@ -138,6 +138,7 @@ def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -
     dd_path = max(profile.sup_lambda_max_path) <= 1.0 + 1e-9
     if dd_path and not profile.convexity_ok:
         failures.append("area profile convexity violated on a distance-decreasing path")
+    unconverged = []
     if cfg.homotopy.uniqueness_inits >= 2:
         report = uniqueness_experiment(
             f0,
@@ -149,7 +150,14 @@ def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -
         results["uniqueness"] = report.summary()
         if not report.unique_in_dd_class:
             failures.append("distinct distance-decreasing solutions found for one boundary")
-    return EXIT_ASSERTION if failures else EXIT_OK
+        unconverged = [
+            f"uniqueness init {i}: solver did not converge: {o.status}"
+            for i, o in enumerate(report.outcomes)
+            if not o.converged
+        ]
+    code = EXIT_ASSERTION if failures else EXIT_OPERATIONAL if unconverged else EXIT_OK
+    failures += unconverged
+    return code
 
 
 def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
@@ -169,15 +177,9 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
             step["sup_lambda_max"] = spectrum.sup_lambda_max("interior")
             step["sup_two_jacobian"] = spectrum.sup_two_jacobian("interior")
             if cfg.sweep.stability:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", NotMinimalWarning)
-                    st = stability_index(
-                        outcome.solution, cfg.stability, minimal_tol=cfg.criteria.minimal_tol
-                    )
+                st = _stability(outcome.solution, cfg, failures, where=f"amplitude {s}: ")
                 step["min_eigenvalue"] = st.min_eigenvalue
                 step["stability_verdict"] = st.verdict
-                if st.verdict == "undetermined":
-                    failures.append(f"amplitude {s}: {_undetermined_message(st)}")
         steps.append(step)
     results["sweep"] = {"steps": steps, "first_failure": sweep.first_failure}
     return EXIT_OPERATIONAL if failures else EXIT_OK
@@ -186,36 +188,36 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
 def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
     spec = cfg.oracle
     campaigns = []
-    seq = np.random.SeedSequence(cfg.seed)
-    child = iter(seq.generate_state(200))
-    if "distance_decreasing" in spec.chains:
-        for n in spec.n_values:
-            rep = run_dd_campaign(
-                n,
-                spec.samples,
-                seed=int(next(child)),
-                lam_high=spec.lambda_high,
-                tol=spec.tol,
-                threads=cfg.threads,
-            )
-            campaigns.append(rep.summary())
-            if not rep.passed:
-                failures.append(f"distance-decreasing chain violated inside hypotheses at n={n}")
-    if "rank" in spec.chains:
-        for n in spec.n_values:
-            for p in spec.p_values:
-                if p > n:
-                    continue
-                rep = run_rank_campaign(
-                    n, p, spec.samples, seed=int(next(child)), tol=spec.tol, threads=cfg.threads
-                )
-                campaigns.append(rep.summary())
-                if not rep.passed:
-                    failures.append(f"rank chain violated inside hypotheses at n={n}, p={p}")
+    dd_ns = spec.n_values if "distance_decreasing" in spec.chains else ()
+    rank_nps = [
+        (n, p) for n in spec.n_values for p in spec.p_values if "rank" in spec.chains and p <= n
+    ]
+    # one seed per campaign and search, in run order
+    count = len(dd_ns) + len(rank_nps) + len(spec.searches)
+    child = iter(np.random.SeedSequence(cfg.seed).generate_state(count).tolist())
+    for n in dd_ns:
+        rep = run_dd_campaign(
+            n,
+            spec.samples,
+            seed=next(child),
+            lam_high=spec.lambda_high,
+            tol=spec.tol,
+            threads=cfg.threads,
+        )
+        campaigns.append(rep.summary())
+        if not rep.passed:
+            failures.append(f"distance-decreasing chain violated inside hypotheses at n={n}")
+    for n, p in rank_nps:
+        rep = run_rank_campaign(
+            n, p, spec.samples, seed=next(child), tol=spec.tol, threads=cfg.threads
+        )
+        campaigns.append(rep.summary())
+        if not rep.passed:
+            failures.append(f"rank chain violated inside hypotheses at n={n}, p={p}")
     results["campaigns"] = campaigns
     searches = []
     for search in spec.searches:
-        report = counterexample_search(search, search.budget, seed=int(next(child)))
+        report = counterexample_search(search, search.budget, seed=next(child))
         searches.append(report.summary())
         in_hypothesis = (
             search.lam_high <= 1.0 if search.chain == "distance_decreasing" else search.cap_products

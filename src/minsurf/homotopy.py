@@ -19,6 +19,7 @@ from .area import discrete_area
 from .errors import BoundaryMismatch
 from .families import random_interior_values
 from .grid import GridMap, jacobian, singular_spectrum
+from .report import Summarized
 from .solver import SolverConfig, SolveOutcome, harmonic_extension, solve_dirichlet
 
 __all__ = [
@@ -67,7 +68,7 @@ def linear_homotopy(f0: GridMap, f1: GridMap, t_count: int = 33) -> Homotopy:
 
 
 @dataclass(frozen=True)
-class HomotopyProfile:
+class HomotopyProfile(Summarized):
     """Area along the homotopy with discrete convexity diagnostics."""
 
     t_samples: tuple[float, ...]
@@ -79,19 +80,6 @@ class HomotopyProfile:
     dd_envelope_ok: bool
     tol: float
     scale: float
-
-    def summary(self) -> dict:
-        return {
-            "t_samples": list(self.t_samples),
-            "areas": list(self.areas),
-            "second_differences": list(self.second_differences),
-            "endpoint_derivatives": list(self.endpoint_derivatives),
-            "sup_lambda_max_path": list(self.sup_lambda_max_path),
-            "convexity_ok": self.convexity_ok,
-            "dd_envelope_ok": self.dd_envelope_ok,
-            "tol": self.tol,
-            "scale": self.scale,
-        }
 
 
 def area_profile(homotopy: Homotopy, tol: float = 1e-9) -> HomotopyProfile:
@@ -127,7 +115,7 @@ def area_profile(homotopy: Homotopy, tol: float = 1e-9) -> HomotopyProfile:
 
 
 @dataclass(frozen=True)
-class JacobiConvexityReport:
+class JacobiConvexityReport(Summarized):
     """Convexity data for the squared nodewise Jacobi norms t -> |d_i f_t|^2.
 
     Along a straight-line family the second t-derivative is the constant
@@ -137,12 +125,6 @@ class JacobiConvexityReport:
 
     worst_second_difference: float
     max_deviation_from_constant: float
-
-    def summary(self) -> dict:
-        return {
-            "worst_second_difference": self.worst_second_difference,
-            "max_deviation_from_constant": self.max_deviation_from_constant,
-        }
 
 
 def jacobi_norm_convexity(homotopy: Homotopy) -> JacobiConvexityReport:
@@ -163,7 +145,7 @@ def jacobi_norm_convexity(homotopy: Homotopy) -> JacobiConvexityReport:
 
 
 @dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(Summarized):
     """Multi-initialization solve outcomes with pairwise distances."""
 
     outcomes: tuple[SolveOutcome, ...]
@@ -178,15 +160,7 @@ class UniquenessReport:
         return len(self.violations) == 0
 
     def summary(self) -> dict:
-        return {
-            "outcomes": [o.summary() for o in self.outcomes],
-            "distance_decreasing": list(self.distance_decreasing),
-            "pairwise_sup": [list(r) for r in self.pairwise_sup],
-            "max_dd_pair_distance": self.max_dd_pair_distance,
-            "uniq_tol": self.uniq_tol,
-            "unique_in_dd_class": self.unique_in_dd_class,
-            "violations": list(self.violations),
-        }
+        return super().summary() | {"unique_in_dd_class": self.unique_in_dd_class}
 
 
 def uniqueness_experiment(

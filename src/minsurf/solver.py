@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 from .area import discrete_area, minimal_system_residual
 from .assembly import colored_stencil_matrix, dissection_permutation
 from .grid import GridMap
+from .report import Summarized
 from .variation import SecondVariationForm
 
 __all__ = [
@@ -54,7 +55,7 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(Summarized):
     solution: GridMap
     converged: bool
     status: str
@@ -65,19 +66,6 @@ class SolveOutcome:
     area_history: tuple[float, ...]
     init_hash: str
     message: str = ""
-
-    def summary(self) -> dict:
-        return {
-            "converged": self.converged,
-            "status": self.status,
-            "iterations": self.iterations,
-            "fallback_iterations": self.fallback_iterations,
-            "residual_sup_norm": self.residual_sup_norm,
-            "residual_l2_norm": self.residual_l2_norm,
-            "area_history": list(self.area_history),
-            "init_hash": self.init_hash,
-            "message": self.message,
-        }
 
 
 def _map_hash(f: GridMap) -> str:
@@ -244,17 +232,10 @@ def solve_dirichlet(
 
 
 @dataclass(frozen=True)
-class ContinuationReport:
+class ContinuationReport(Summarized):
     amplitudes: tuple[float, ...]
     outcomes: tuple[SolveOutcome, ...]
     first_failure: float | None
-
-    def summary(self) -> dict:
-        return {
-            "amplitudes": list(self.amplitudes),
-            "first_failure": self.first_failure,
-            "outcomes": [o.summary() for o in self.outcomes],
-        }
 
 
 def continuation_solve(

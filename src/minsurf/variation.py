@@ -29,6 +29,7 @@ from .area import AreaReport, minimal_system_residual
 from .assembly import colored_stencil_matrix, dissection_permutation
 from .errors import NotMinimalWarning
 from .grid import GridMap, induced_metric
+from .report import Summarized
 
 __all__ = [
     "VariationField",
@@ -215,7 +216,7 @@ class EigenConfig:
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Summarized):
     """Smallest eigenvalue of the stability operator with its eigenvector."""
 
     min_eigenvalue: float
@@ -228,20 +229,10 @@ class StabilityReport:
     eigen_residual: float
 
     def summary(self) -> dict:
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "verdict": self.verdict,
-            "epsilon": self.epsilon,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "eigen_residual": self.eigen_residual,
-            # only the sign of the bottom eigenvalue is computed, so the
-            # unstable count is reported as a bound
-            "morse_index_bound": {"unstable": "at least 1", "undetermined": None}.get(
-                self.verdict, "0"
-            ),
-            "rayleigh_history": list(self.rayleigh_history),
-        }
+        # only the sign of the bottom eigenvalue is computed, so the unstable
+        # count is reported as a bound
+        bound = {"unstable": "at least 1", "undetermined": None}.get(self.verdict, "0")
+        return super().summary() | {"morse_index_bound": bound}
 
 
 def _gershgorin_lower_bound(S: sp.csr_matrix, B_diag: np.ndarray) -> float:

@@ -354,3 +354,60 @@ def test_non_utf8_config_exit_2(tmp_path, capsys):
 def test_stability_carries_run_seed():
     cfg = parse_config({**BASE_SOLVE, "seed": 11}, {"seed": 13})
     assert (cfg.stability.seed, cfg.stability.enabled) == (13, True)
+
+
+def test_homotopy_unconverged_uniqueness_solve_exit_2(tmp_path):
+    holo = {"family": "holomorphic_power", "amplitude": 0.3, "power": 3}
+    doc = {
+        "command": "homotopy",
+        "seed": 3,
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [13, 13]},
+        "solver": {"max_newton_iters": 1, "max_fallback_iters": 1},
+        "homotopy": {
+            "f0": holo,
+            "f1": {**holo, "bump_amplitude": 0.05},
+            "t_count": 9,
+            "uniqueness_inits": 4,
+        },
+    }
+    code, report = run(parse_config(doc))
+    outcomes = report["results"]["uniqueness"]["outcomes"]
+    assert not any(o["converged"] for o in outcomes)
+    assert code == 2
+    assert report["assertion_failures"] == [
+        f"uniqueness init {i}: solver did not converge: {o['status']}"
+        for i, o in enumerate(outcomes)
+    ]
+
+
+def test_oracle_runs_more_than_200_campaigns(tmp_path):
+    doc = {
+        "command": "oracle",
+        "output_dir": str(tmp_path / "out"),
+        "oracle": {"samples": 1, "n_values": list(range(2, 26)), "p_values": list(range(2, 13))},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 0
+    assert len(report["results"]["campaigns"]) == 24 + 209
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_oracle_seeds_are_a_prefix_of_the_seed_sequence(tmp_path):
+    doc = {
+        "command": "oracle",
+        "seed": 17,
+        "output_dir": str(tmp_path / "out"),
+        "oracle": {
+            "samples": 100,
+            "n_values": [2, 3],
+            "p_values": [2, 3],
+            "searches": [{"chain": "distance_decreasing", "n": 2, "budget": 100}],
+        },
+    }
+    code, report = run(parse_config(doc))
+    assert code == 0
+    results = report["results"]
+    seeds = [c["seed"] for c in results["campaigns"] + results["searches"]]
+    assert len(seeds) == 2 + 3 + 1
+    assert seeds == np.random.SeedSequence(17).generate_state(200)[: len(seeds)].tolist()
