@@ -302,6 +302,8 @@ def run_dd_campaign(
     asserted only when the sampling box keeps every stretch at most one.
     Margins are worst cases relative to the per-sample scale.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
 
     def work(rng, size):
         lam, C = _sample_dd(rng, n, size, 0.0, lam_high)
@@ -347,6 +349,8 @@ def run_rank_campaign(
     chunk: int = 50_000,
 ) -> CampaignReport:
     """Randomized verification of the rank chain inside its hypotheses."""
+    if min(n, p) < 2:
+        raise ValueError("need n >= 2 and p >= 2")
 
     def work(rng, size):
         lam, C = _sample_rank(rng, n, p, size, lam_high=1.0)

@@ -269,19 +269,14 @@ class ValidateSpec:
 # range rules of each section (see _check)
 _CHECKS = {
     "grid": {"counts": 3},
-    "solver": {
-        "tol_residual_sup": _POSITIVE,
-        "max_newton_iters": 1,
-        "max_fallback_iters": 1,
-        "line_search_factor": _POSITIVE,
-        "sufficient_decrease": _POSITIVE,
-        "max_backtracks": 1,
-    },
+    "solver": {"tol_residual_sup": _POSITIVE, "max_newton_iters": 1, "max_fallback_iters": 1},
     "stability": {"tol": _POSITIVE, "max_iters": 1},
     "criteria": {"tol": 0, "rank_tol": _POSITIVE, "minimal_tol": _POSITIVE},
     "homotopy": {"t_count": 3, "uniqueness_inits": 0, "uniq_tol": _POSITIVE},
     "oracle": {
         "chains": _CHAINS,
+        "n_values": 2,
+        "p_values": 2,
         "samples": 1,
         "lambda_high": _POSITIVE,
         "tol": _POSITIVE,

@@ -3,15 +3,17 @@
 The iteration descends on the discrete area. The Newton matrix is the exact
 area Hessian of :class:`~minsurf.variation.SecondVariationForm`, the same
 operator the stability analysis diagonalizes, assembled by colored probing.
-Steps are accepted by backtracking on the area value, and a gradient
-direction serves as fallback whenever the Newton direction is unusable.
+Each iteration spends one step: Newton while ``max_newton_iters`` lasts,
+then gradient (fallback) while ``max_fallback_iters`` lasts. Steps are
+accepted by backtracking on the area value. An unusable Newton direction, or
+one whose line search fails, is replaced by the gradient on the same step.
 Boundary values never change, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -35,23 +37,23 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_LINE_SEARCH_STALL = "line_search_stall"
 
+# backtracking line search: step factor, Armijo constant, number of trials
+BACKTRACK_FACTOR = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_BACKTRACKS = 40
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol_residual_sup: float = 1e-10
     max_newton_iters: int = 50
     max_fallback_iters: int = 5000
-    line_search_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if self.tol_residual_sup <= 0:
             raise ValueError("tolerances must be positive")
-        if min(self.max_newton_iters, self.max_fallback_iters, self.max_backtracks) <= 0:
+        if min(self.max_newton_iters, self.max_fallback_iters) <= 0:
             raise ValueError("iteration caps must be positive")
-        if not 0 < self.line_search_factor < 1:
-            raise ValueError("line search factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -106,27 +108,50 @@ def harmonic_extension(boundary: GridMap) -> GridMap:
     return GridMap(grid=grid, values=values)
 
 
-def _line_search(f, direction, area0, slope, res_sup0, cfg):
+def _newton_direction(f, report, w):
+    """The Newton step on the exact area Hessian (None if unusable) and that Hessian."""
+    grid = f.grid
+    form = SecondVariationForm(f, warn=False, area=report)
+    hessian = colored_stencil_matrix(form.hessian_values, grid, f.m)
+    # residual is -grad/w, so H d = -grad reads H d = w * residual
+    rhs = (w * report.residual)[grid.interior_mask].ravel()
+    p = dissection_permutation(grid, f.m)
+    d = np.empty_like(rhs)
+    try:
+        d[p] = spla.spsolve(hessian[p][:, p].tocsc(), rhs[p], permc_spec="NATURAL")
+    except RuntimeError:
+        return None, hessian
+    direction = np.zeros_like(f.values)
+    direction[grid.interior_mask] = d.reshape(-1, f.m)
+    return (direction if np.all(np.isfinite(d)) else None), hessian
+
+
+def _line_search(f, direction, area0, report, w):
     """Backtracking on the area value; returns (new map, new area) or None.
 
-    Near the residual floor the true area decrease of a Newton step falls
-    below the round-off resolution of the area itself, so a step whose area
-    change is within a few ulp of zero is also accepted when it at least
-    halves the residual. The recorded history is then nonincreasing up to
-    that round-off band.
+    A direction along which the area does not descend is refused before any
+    area evaluation. Near the residual floor the true area decrease of a
+    Newton step falls below the round-off resolution of the area itself, so
+    a step whose area change is within a few ulp of zero is also accepted
+    when it at least halves the residual. The recorded history is then
+    nonincreasing up to that round-off band.
     """
+    # slope of the area along the direction; residual is -grad/w
+    slope = -float(np.sum(w * report.residual * direction))
+    if slope >= 0:
+        return None
     lam = 1.0
     floor = 4.0 * np.finfo(float).eps * (1.0 + abs(area0))
-    for _ in range(cfg.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         cand = f.with_interior_values(f.values + lam * direction)
         area = discrete_area(cand)
-        if area <= area0 + cfg.sufficient_decrease * lam * slope and area < area0:
+        if area <= area0 + SUFFICIENT_DECREASE * lam * slope and area < area0:
             return cand, area
         if area <= area0 + floor:
             res = minimal_system_residual(cand).residual_sup_norm
-            if res <= 0.5 * res_sup0:
+            if res <= 0.5 * report.residual_sup_norm:
                 return cand, area
-        lam *= cfg.line_search_factor
+        lam *= BACKTRACK_FACTOR
     return None
 
 
@@ -152,22 +177,19 @@ def solve_dirichlet(
     ):
         raise ValueError("init disagrees with boundary data on boundary nodes")
 
-    grid = init.grid
-    w = grid.quadrature_weights[..., None]
+    w = init.grid.quadrature_weights[..., None]
     init_hash = _map_hash(init)
     f = init
     report = minimal_system_residual(f)
     areas = [report.total_area]
     newton_iters = 0
     fallback_iters = 0
-    status = STATUS_CONVERGED
-    message = ""
 
-    def finish(converged: bool) -> SolveOutcome:
+    def finish(status: str, message: str = "") -> SolveOutcome:
         # report always belongs to the current f
         return SolveOutcome(
             solution=f,
-            converged=converged,
+            converged=status == STATUS_CONVERGED,
             status=status,
             iterations=newton_iters,
             fallback_iterations=fallback_iters,
@@ -179,56 +201,27 @@ def solve_dirichlet(
         )
 
     while report.residual_sup_norm > cfg.tol_residual_sup:
-        use_fallback = newton_iters >= cfg.max_newton_iters
-        direction = None
-        if not use_fallback:
+        result = None
+        if newton_iters < cfg.max_newton_iters:
             newton_iters += 1
-            form = SecondVariationForm(f, warn=False, area=report)
-            hessian = colored_stencil_matrix(form.hessian_values, grid, f.m)
-            # residual is -grad/w, so H d = -grad reads H d = w * residual
-            rhs = (w * report.residual)[grid.interior_mask].ravel()
-            p = dissection_permutation(grid, f.m)
-            d = np.empty_like(rhs)
-            try:
-                d[p] = spla.spsolve(hessian[p][:, p].tocsc(), rhs[p], permc_spec="NATURAL")
-                if np.all(np.isfinite(d)):
-                    direction = np.zeros_like(f.values)
-                    direction[grid.interior_mask] = d.reshape(-1, f.m)
-            except RuntimeError:
-                direction = None
-        if direction is not None:
-            # slope of the area along the direction; residual is -grad/w
-            slope = -float(np.sum(w * report.residual * direction))
-            if slope >= 0:
-                direction = None
-        if direction is None:
-            # gradient descent on the area: direction = residual field
-            if use_fallback:
-                if fallback_iters >= cfg.max_fallback_iters:
-                    status = STATUS_MAX_ITERATIONS
-                    message = "iteration caps exhausted"
-                    return finish(False)
-                fallback_iters += 1
-            direction = report.residual
-            slope = -float(np.sum(w * report.residual * direction))
-        result = _line_search(f, direction, areas[-1], slope, report.residual_sup_norm, cfg)
-        if result is None and direction is not report.residual:
-            # retry once with the gradient direction before declaring a stall
-            direction = report.residual
-            slope = -float(np.sum(w * report.residual * direction))
-            result = _line_search(f, direction, areas[-1], slope, report.residual_sup_norm, cfg)
+            # keep the Hessian until the next is built: freed first, the heap
+            # shrinks and each assembly faults its pages back in (~25 % at 17^3)
+            direction, hessian = _newton_direction(f, report, w)
+            if direction is not None:
+                result = _line_search(f, direction, areas[-1], report, w)
+        elif fallback_iters < cfg.max_fallback_iters:
+            fallback_iters += 1
+        else:
+            return finish(STATUS_MAX_ITERATIONS, "iteration caps exhausted")
         if result is None:
-            status = STATUS_LINE_SEARCH_STALL
-            message = "no step achieved an area decrease"
-            return finish(False)
+            # gradient descent on the area: direction = residual field
+            result = _line_search(f, report.residual, areas[-1], report, w)
+        if result is None:
+            return finish(STATUS_LINE_SEARCH_STALL, "no step achieved an area decrease")
         f, area = result
         areas.append(area)
         report = minimal_system_residual(f)
-        if newton_iters >= cfg.max_newton_iters and fallback_iters >= cfg.max_fallback_iters:
-            status = STATUS_MAX_ITERATIONS
-            message = "iteration caps exhausted"
-            return finish(False)
-    return finish(True)
+    return finish(STATUS_CONVERGED)
 
 
 @dataclass(frozen=True)

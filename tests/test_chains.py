@@ -140,6 +140,21 @@ def test_rank_campaign_inside_hypotheses(n, p):
     assert all(v >= -1e-12 for v in rep.worst_margins.values())
 
 
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda: run_dd_campaign(1, 10, seed=1),
+        lambda: run_dd_campaign(0, 10, seed=1),
+        lambda: run_rank_campaign(3, 1, 10, seed=1),
+        lambda: run_rank_campaign(1, 2, 10, seed=1),
+    ],
+    ids=["dd-n-1", "dd-n-0", "rank-p-1", "rank-n-1"],
+)
+def test_campaigns_reject_degenerate_sizes(campaign):
+    with pytest.raises(ValueError, match=r"need n >= 2"):
+        campaign()
+
+
 def test_campaigns_deterministic_and_thread_invariant():
     a = run_dd_campaign(3, 40_000, seed=5, threads=1)
     b = run_dd_campaign(3, 40_000, seed=5, threads=4)

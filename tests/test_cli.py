@@ -73,6 +73,21 @@ def test_solve_nonconvergence_exit_2(tmp_path):
         assert report["assertion_failures"]
 
 
+def test_solve_converged_on_the_last_allowed_step_exit_0(tmp_path):
+    grid = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [5, 5]}
+    boundary = {"family": "holomorphic_power", "amplitude": 0.4, "power": 3}
+    caps = {"max_newton_iters": 1, "max_fallback_iters": 1}
+    doc = {**BASE_SOLVE, "grid": grid, "boundary": boundary, "output_dir": str(tmp_path / "capped")}
+    _, capped = run(parse_config({**doc, "solver": {**caps, "tol_residual_sup": 1e-14}}))
+    assert capped["results"]["solve"]["status"] == "max_iterations"
+    # a tolerance just above the residual after the last allowed step is met by it
+    tol = capped["results"]["solve"]["residual_sup_norm"] * (1 + 1e-6)
+    doc = {**doc, "output_dir": str(tmp_path / "out"), "solver": {**caps, "tol_residual_sup": tol}}
+    code, report = run(parse_config(doc))
+    assert (report["results"]["solve"]["converged"], report["results"]["solve"]["status"]) == (True, "converged")
+    assert (code, report["assertion_failures"]) == (0, [])
+
+
 def test_unconverged_eigen_solve_exit_2(tmp_path):
     doc = {
         **BASE_SOLVE,
@@ -295,6 +310,7 @@ SWEEP_DOC = {
     [
         ({**BASE_SOLVE, "solver": {"line_search_factor": 1.5}}, "solver"),
         ({**BASE_SOLVE, "solver": 5}, "solver"),
+        ({"command": "oracle", "oracle": {"p_values": [1]}}, "oracle.p_values[0]: must be >= 2"),
         ({**BASE_SOLVE, "grid": 5}, "grid"),
         ({"command": "oracle", "oracle": {"n_values": ["a"]}}, "oracle.n_values"),
         ({**SWEEP_DOC, "sweep": {**SWEEP_DOC["sweep"], "s_values": ["a"]}}, "sweep.s_values"),
@@ -319,6 +335,7 @@ SWEEP_DOC = {
     ids=[
         "line-search-factor",
         "solver-not-mapping",
+        "p-values-below-2",
         "grid-not-mapping",
         "n-values-element",
         "s-values-element",

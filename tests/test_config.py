@@ -83,23 +83,17 @@ def test_solver_resolves():
                 "tol_residual_sup": 1e-9,
                 "max_newton_iters": 7,
                 "max_fallback_iters": 11,
-                "line_search_factor": 0.25,
-                "sufficient_decrease": 1e-3,
-                "max_backtracks": 5,
             },
         }
     ).solver
     assert solver.tol_residual_sup == 1e-9
-    assert (solver.max_newton_iters, solver.max_fallback_iters, solver.max_backtracks) == (7, 11, 5)
-    assert (solver.line_search_factor, solver.sufficient_decrease) == (0.25, 1e-3)
+    assert (solver.max_newton_iters, solver.max_fallback_iters) == (7, 11)
 
 
 def test_solver_defaults():
     solver = parse_config(SOLVE).solver
     assert solver.tol_residual_sup == 1e-10
-    iters = (solver.max_newton_iters, solver.max_fallback_iters, solver.max_backtracks)
-    assert iters == (50, 5000, 40)
-    assert (solver.line_search_factor, solver.sufficient_decrease) == (0.5, 1e-4)
+    assert (solver.max_newton_iters, solver.max_fallback_iters) == (50, 5000)
 
 
 def test_stability_resolves():
@@ -327,6 +321,9 @@ BAD = {
     "oracle-chain": (_with(ORACLE, "oracle", chains=["cycle"]), "oracle.chains"),
     "oracle-min": (_with(ORACLE, "oracle", samples=0), "oracle.samples:"),
     "oracle-positive": (_with(ORACLE, "oracle", lambda_high=0), "oracle.lambda_high:"),
+    "oracle-n-min": (_with(ORACLE, "oracle", n_values=[2, 1]), "oracle.n_values[1]: must be >= 2"),
+    "oracle-n-negative": (_with(ORACLE, "oracle", n_values=[-1]), "oracle.n_values[0]: must be >= 2"),
+    "oracle-p-min": (_with(ORACLE, "oracle", p_values=[1]), "oracle.p_values[0]: must be >= 2"),
     "search-unknown": (_search(seed=1), "oracle.searches[0].seed:"),
     "search-type": (_search(cap_products="no"), "oracle.searches[0].cap_products:"),
     "search-chain": (_search(chain="cycle"), "oracle.searches[0]"),

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from minsurf import solver
 from minsurf import (
     GridMap,
     SolverConfig,
@@ -172,7 +175,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_residual_sup=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(line_search_factor=1.5)
+        SolverConfig(max_newton_iters=0)
 
 
 def test_nonconvergence_reported_not_raised(unit_square):
@@ -185,3 +188,82 @@ def test_nonconvergence_reported_not_raised(unit_square):
     # the best iterate is still returned with intact boundary data
     mask = unit_square.boundary_mask
     assert np.array_equal(out.solution.values[mask], boundary.values[mask])
+
+
+def test_line_search_constants_and_solver_fields():
+    assert (solver.BACKTRACK_FACTOR, solver.SUFFICIENT_DECREASE, solver.MAX_BACKTRACKS) == (0.5, 1e-4, 40)
+    assert [f.name for f in fields(SolverConfig)] == [
+        "tol_residual_sup",
+        "max_newton_iters",
+        "max_fallback_iters",
+    ]
+
+
+def _capped_solve(tol):
+    grid = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], (5, 5))
+    cfg = SolverConfig(tol_residual_sup=tol, max_newton_iters=1, max_fallback_iters=1)
+    return solve_dirichlet(holomorphic_power_map(grid, 0.4, 3), cfg=cfg)
+
+
+def test_converged_on_the_last_allowed_step():
+    # both caps of one step each bite: one Newton step, then one gradient step
+    capped = _capped_solve(1e-14)
+    assert (capped.status, capped.iterations, capped.fallback_iterations) == ("max_iterations", 1, 1)
+    # a tolerance just above the residual after that last step is met by it
+    out = _capped_solve(capped.residual_sup_norm * (1 + 1e-6))
+    assert out.residual_sup_norm == capped.residual_sup_norm
+    assert (out.converged, out.status, out.message) == (True, "converged", "")
+    assert (out.iterations, out.fallback_iterations) == (1, 1)
+
+
+def _step_along(delta, direction):
+    """The factor lam with delta = lam * direction, or None if there is none."""
+    lam = float(np.sum(delta * direction) / np.sum(direction * direction))
+    return lam if np.allclose(delta, lam * direction, rtol=1e-9, atol=1e-13) else None
+
+
+def _singular(d):
+    raise RuntimeError("factor is exactly singular")
+
+
+@pytest.mark.parametrize(
+    "first_step, newton_trials",
+    [
+        (_singular, 0),
+        (lambda d: np.full_like(d, np.nan), 0),
+        (lambda d: -d, 0),  # ascent: refused before any area evaluation
+        (lambda d: 1e30 * d, 40),  # every backtrack fails
+    ],
+    ids=["solve-raises", "nan-step", "ascent-step", "huge-step"],
+)
+def test_unusable_newton_step_is_rescued_by_the_gradient(monkeypatch, first_step, newton_trials):
+    grid = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], (9, 9))
+    boundary = holomorphic_power_map(grid, 0.3, 3)
+    init = harmonic_extension(boundary)
+    gradient = minimal_system_residual(init).residual
+    spsolve, area = solver.spla.spsolve, solver.discrete_area
+    solves, trials = [], []  # trials[i]: the candidates of step i + 1
+
+    def first_spsolve_spoiled(*args, **kwargs):
+        solves.append(None)
+        trials.append([])
+        d = spsolve(*args, **kwargs)
+        return first_step(d) if len(solves) == 1 else d
+
+    def recorded_area(f):
+        trials[-1].append(f.values - init.values)
+        return area(f)
+
+    monkeypatch.setattr(solver.spla, "spsolve", first_spsolve_spoiled)
+    monkeypatch.setattr(solver, "discrete_area", recorded_area)
+    with np.errstate(all="ignore"):  # the huge step overflows the area
+        out = solve_dirichlet(boundary, init=init)
+
+    # step 1: the Newton trials, if any, then the gradient line search
+    lams = [_step_along(delta, gradient) for delta in trials[0]]
+    assert len(lams) > newton_trials
+    assert [lam is None for lam in lams] == [True] * newton_trials + [False] * (len(lams) - newton_trials)
+    assert lams[-1] > 0  # the accepted step 1 is a gradient step ...
+    assert out.area_history[1] < out.area_history[0]  # ... that lowers the area
+    assert (out.iterations, out.fallback_iterations) == (len(solves), 0)
+    assert out.converged
