@@ -1,7 +1,8 @@
 """Strict parsing of run configurations.
 
-Configs are YAML or JSON documents (JSON parses as YAML). Each section is
-read into the dataclass that owns its settings (``SolverConfig``,
+Configs are JSON or YAML documents. JSON is parsed as JSON first: the YAML
+1.1 resolver would read an exponent float like ``1e-9`` as a string. Each
+section is read into the dataclass that owns its settings (``SolverConfig``,
 ``StabilitySpec``, ...): the section's keys are that dataclass's fields, its
 defaults are the field defaults, and each value's kind comes from the field's
 type. A short table per section adds the range rules. An unknown key or a
@@ -12,6 +13,7 @@ message. Every run report embeds the config verbatim.
 from __future__ import annotations
 
 import functools
+import json
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -349,9 +351,12 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        location = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"config parse error{location}: {exc}") from None
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        try:
+            doc = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            location = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise ConfigError(f"config parse error{location}: {exc}") from None
     return parse_config(doc, overrides)

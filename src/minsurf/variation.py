@@ -16,6 +16,7 @@ inner product is the stability index.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,9 +25,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._stencils import corner_jacobians, corner_metrics, corner_weight, scatter_corner_flux, small_matmul
+from ._stencils import _edge, cell_counts, corner_jacobians, corner_metrics, corner_offsets, corner_weight
+from ._stencils import scatter_corner_flux, small_matmul
 from .area import AreaReport, minimal_system_residual
-from .assembly import colored_stencil_matrix, dissection_permutation
+from .assembly import dissection_permutation
+from .assembly import hessian_matrix as colored_stencil_matrix  # the name perfbench's span hook wraps
 from .errors import NotMinimalWarning
 from .grid import GridMap, induced_metric
 from .report import Summarized
@@ -144,16 +147,49 @@ class SecondVariationForm:
 
     # -- operator form ----------------------------------------------------
 
-    def hessian_values(self, Vvals: np.ndarray) -> np.ndarray:
-        """H V, the exact derivative of the area gradient along V, zero on boundary rows."""
-        B = corner_jacobians(Vvals, self.grid)
+    def _flux(self, B: np.ndarray) -> np.ndarray:
+        """Corner flux of H along the corner Jacobian B, per corner K_c B.
+
+        K_c is the Hessian of sqrt det(I + J^T J) in J, and
+        K_c B = sqrt(g) [(B - J G^-1 M) G^-1 + 1/2 tr(G^-1 M) J G^-1].
+        """
         M, tau = self._corner_terms(B)
         # (B - J G^-1 M) G^-1 = B G^-1 - J G^-1 M G^-1
         flux = small_matmul(B - small_matmul(self._JGi, M), self._Ginv)
         flux += 0.5 * tau * self._JGi
         flux *= self._sqrtg
+        return flux
+
+    def hessian_values(self, Vvals: np.ndarray) -> np.ndarray:
+        """H V, the exact derivative of the area gradient along V, zero on boundary rows."""
+        flux = self._flux(corner_jacobians(Vvals, self.grid))
         out = self._wc * scatter_corner_flux(flux, self.grid)
         return np.where(self._interior[..., None], out, 0.0)
+
+    def node_blocks(self) -> np.ndarray:
+        """H = w_c sum_c D_c^T K_c D_c as node blocks, shape (3^n, m, m) + counts.
+
+        Entry [k, a, b] at node p couples (p, a) with (p + delta_k, b), where delta_k is
+        the k-th offset of {-1, 0, 1}^n in lexicographic order. K_c is applied to one unit
+        corner field E_bj at a time; the edge leaving corner nu along axis i touches, at
+        its end s, the node nu with entry i set to s, and differences with sign +-1/h_i.
+        """
+        n, m, h = self.grid.n, self.m, self.grid.spacings
+        cells = cell_counts(self.grid)
+        blocks = np.zeros((3**n, m, m) + self.grid.counts)
+        for b, j in itertools.product(range(m), range(n)):
+            unit = np.zeros((m, n) + (1,) * (n + 1))
+            unit[b, j] = 1.0
+            column = self._flux(unit)  # entries (a, i) of K_c E_bj
+            for c, nu in enumerate(corner_offsets(n)):
+                for i in range(n):
+                    k_ij = (self._wc / (h[i] * h[j])) * column[:, i, c]
+                    for s, t in itertools.product((0, 1), repeat=2):
+                        # offset from the row node (nu, entry i set to s) to the column node (entry j set to t)
+                        k = (3**n - 1) // 2 + (t - nu[j]) * 3 ** (n - 1 - j) - (s - nu[i]) * 3 ** (n - 1 - i)
+                        target = blocks[k, :, b][_edge(cells, nu, i, s)]
+                        (np.add if s == t else np.subtract)(target, k_ij, out=target)
+        return blocks
 
     def apply_values(self, Vvals: np.ndarray) -> np.ndarray:
         """H V / w as a nodal array; <W, HV>_w equals the polarized quadratic form."""
@@ -168,7 +204,7 @@ class SecondVariationForm:
 
     def assemble(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """Hessian over interior dofs and the weights B: S v = theta B v is the stability pencil."""
-        S = colored_stencil_matrix(self.hessian_values, self.grid, self.m)
+        S = colored_stencil_matrix(self)
         B_diag = np.repeat(self._node_weight[self._interior], self.m)
         S = (S + S.T) * 0.5
         return S.tocsr(), B_diag
@@ -305,6 +341,7 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig, 
         if settled and refactors < 3 and theta - sigma > 0.3 * (abs(theta) + 1.0):
             gap = float(ritz_vals[-1] - ritz_vals[0]) if block > 1 else abs(theta)
             sigma = theta - max(0.05 * gap, 1e-3 * (1.0 + abs(theta)))
+            del solve  # free the old factorization before the new one is built
             solve = shifted_solver(sigma)
             refactors += 1
     return theta, X[:, 0], history, converged, it, resid

@@ -7,7 +7,7 @@ import yaml
 
 from minsurf import ConfigError, build_grid, save_map
 from minsurf.cli import main, run
-from minsurf.config import parse_config
+from minsurf.config import load_config, parse_config
 from minsurf.families import holomorphic_power_map
 from minsurf.report import sha256_file
 
@@ -366,6 +366,28 @@ def test_non_utf8_config_exit_2(tmp_path, capsys):
     path.write_bytes(b"command: solve\noutput_dir: caf\xe9\n")
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_json_config_with_exponent_float_runs(tmp_path):
+    grid = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [5, 5]}
+    doc = {**BASE_SOLVE, "grid": grid, "solver": {"tol_residual_sup": 1e-9}, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert "1e-09" in path.read_text()
+    assert main(["run", str(path)]) == 0
+
+
+def test_yaml_exponent_float_parses(tmp_path):
+    path = write_config(tmp_path, {**BASE_SOLVE, "solver": {"tol_residual_sup": 1e-9}})
+    assert "e-09" in path.read_text()
+    assert load_config(path).solver.tol_residual_sup == 1e-9
+
+
+def test_unparsable_config_reports_its_location(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"command": "solve",\n  "seed": [3\n')
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config parse error at line")
 
 
 def test_stability_carries_run_seed():

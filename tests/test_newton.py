@@ -26,8 +26,8 @@ def first_newton_matrix(f: GridMap, monkeypatch):
     captured = []
     assemble = solver.colored_stencil_matrix
 
-    def recording(response, grid, m):
-        matrix = assemble(response, grid, m)
+    def recording(form):
+        matrix = assemble(form)
         captured.append(matrix)
         return matrix
 

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import minsurf.assembly as assembly
 import minsurf.solver as solver
 from minsurf import SecondVariationForm, SolverConfig, build_grid, solve_dirichlet, stability_index
-from minsurf.assembly import colored_stencil_matrix, dissection_permutation
+from minsurf.assembly import dissection_permutation, hessian_matrix
 from minsurf.families import holomorphic_power_map, random_smooth_map
 from minsurf.solver import harmonic_extension
 
@@ -107,8 +107,8 @@ def record_first_newton_step(f, monkeypatch):
     matrices, directions = [], []
     assemble, line_search = solver.colored_stencil_matrix, solver._line_search
 
-    def assembling(response, grid, m):
-        matrices.append(assemble(response, grid, m))
+    def assembling(form):
+        matrices.append(assemble(form))
         return matrices[-1]
 
     def searching(f_, direction, *args):
@@ -155,5 +155,5 @@ def lu_fill(matrix, perm=None):
 def test_dissection_fill_of_the_harmonic_extension_hessian(n, size, bound):
     grid = build_grid(n, [(0.0, 1.0)] * n, (size,) * n)
     f = harmonic_extension(holomorphic_power_map(grid, 0.3, 3))
-    H = colored_stencil_matrix(SecondVariationForm(f, warn=False).hessian_values, grid, f.m)
+    H = hessian_matrix(SecondVariationForm(f, warn=False))
     assert lu_fill(H, dissection_permutation(grid, f.m)) <= bound * lu_fill(H)
