@@ -30,7 +30,10 @@ F_offdiag >= 0 and F_diag >= F_lower >= 0, hence F0 >= 0.
 
 Everything here is plain algebra on sampled (lambda, C) pairs; the module
 certifies the inequalities by randomized campaigns and hunts for
-counterexamples outside the hypotheses.
+counterexamples outside the hypotheses. ``SearchRegime`` owns the sampling
+box: it draws and projects points, scores them by the chain's margin and says
+whether the whole box lies inside the hypotheses, for campaigns and searches
+alike.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
 
 CHAIN_DD = "distance_decreasing"
 CHAIN_RANK = "rank"
+SEARCH_CHUNK = 50_000  # samples a counterexample search draws and scores at a time
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,8 @@ def dd_chain_terms(lam: np.ndarray, C: np.ndarray, row_slack: np.ndarray | None 
     mu_i = mu[..., :, None]
     mu_j = mu[..., None, :]
     denom = mu_i * mu_j
-    first = (Csq / mu_i).sum(axis=(-2, -1))
+    row_weighted = Csq / mu_i
+    first = row_weighted.sum(axis=(-2, -1))
     slack_term = 0.0
     if row_slack is not None:
         row_slack = np.asarray(row_slack, dtype=float)
@@ -138,7 +143,7 @@ def dd_chain_terms(lam: np.ndarray, C: np.ndarray, row_slack: np.ndarray | None 
     E2 = first - (
         (lam2[..., None, :] * Csq + lam2[..., :, None] * np.swapaxes(Csq, -1, -2)) / denom
     ).sum(axis=(-2, -1))
-    E3 = ((Csq / mu_i) * ((1.0 - lam2) / mu)[..., None, :]).sum(axis=(-2, -1))
+    E3 = (row_weighted * ((1.0 - lam2) / mu)[..., None, :]).sum(axis=(-2, -1))
     return E1, E2, E3
 
 
@@ -155,18 +160,17 @@ def rank_chain_terms(lam: np.ndarray, C: np.ndarray, p: int):
     denom = mu_i * mu[..., None, :]
     diag = np.diagonal(C, axis1=-2, axis2=-1)
     cross = lam[..., None, :] * C + lam[..., :, None] * np.swapaxes(C, -1, -2)
-    trace_term = (lam * diag / mu).sum(axis=-1)
+    t = lam * diag / mu
+    trace_term = t.sum(axis=-1)
     F0 = (Csq / mu_i).sum(axis=(-2, -1)) + trace_term**2 - 0.5 * (cross**2 / denom).sum(
         axis=(-2, -1)
     )
-    t = lam * diag / mu
-    F_diag = (diag**2 / mu**2).sum(axis=-1) + (t.sum(axis=-1) ** 2 - (t**2).sum(axis=-1))
+    F_diag = (diag**2 / mu**2).sum(axis=-1) + (trace_term**2 - (t**2).sum(axis=-1))
     lamlam = lam[..., :, None] * lam[..., None, :]
     T = (Csq + np.swapaxes(Csq, -1, -2) - 2.0 * lamlam * C * np.swapaxes(C, -1, -2)) / (
         2.0 * denom
     )
     idx = np.arange(n)
-    T = T.copy()
     T[..., idx, idx] = 0.0
     F_offdiag = T.sum(axis=(-2, -1))
     nz = (lam > 0.0).astype(float)
@@ -176,15 +180,21 @@ def rank_chain_terms(lam: np.ndarray, C: np.ndarray, p: int):
     return F0, F_diag, F_offdiag, F_lower
 
 
-def eval_dd_chain(
-    sample: SpectrumSample, C: np.ndarray, row_slack: np.ndarray | None = None
-) -> ChainEvaluation:
-    """Distance-decreasing chain at one sample."""
+def _pairings(sample: SpectrumSample, C) -> np.ndarray:
+    """C as a finite n x n float array for ``sample``, or ValueError."""
     C = np.asarray(C, dtype=float)
     if C.shape != (sample.n, sample.n):
         raise ValueError(f"C must be {sample.n} x {sample.n}")
     if not np.all(np.isfinite(C)):
         raise ValueError("pairing matrix entries must be finite")
+    return C
+
+
+def eval_dd_chain(
+    sample: SpectrumSample, C: np.ndarray, row_slack: np.ndarray | None = None
+) -> ChainEvaluation:
+    """Distance-decreasing chain at one sample."""
+    C = _pairings(sample, C)
     E1, E2, E3 = dd_chain_terms(sample.lam, C, row_slack)
     return ChainEvaluation(
         E1=float(E1),
@@ -197,11 +207,7 @@ def eval_dd_chain(
 
 def eval_rank_chain(sample: SpectrumSample, C: np.ndarray, p: int) -> ChainEvaluation:
     """Rank chain at one sample with rank budget p >= 2."""
-    C = np.asarray(C, dtype=float)
-    if C.shape != (sample.n, sample.n):
-        raise ValueError(f"C must be {sample.n} x {sample.n}")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("pairing matrix entries must be finite")
+    C = _pairings(sample, C)
     if p < 2:
         raise ValueError("rank chain requires p >= 2")
     if int(np.count_nonzero(sample.lam)) > p:
@@ -219,39 +225,80 @@ def eval_rank_chain(sample: SpectrumSample, C: np.ndarray, p: int) -> ChainEvalu
     )
 
 
-# -- sampling ---------------------------------------------------------------
+# -- sampling regime ---------------------------------------------------------
 
 
-def _sample_dd(rng: np.random.Generator, n: int, count: int, lam_low: float, lam_high: float):
-    lam = rng.uniform(lam_low, lam_high, size=(count, n))
-    C = rng.uniform(-1.0, 1.0, size=(count, n, n))
-    return lam, C
+@dataclass(frozen=True)
+class SearchRegime:
+    """Sampling box of one chain: stretches in [lam_low, lam_high], pairings in [-1, 1].
 
+    The rank chain also keeps at most p nonzero stretches and, with
+    ``cap_products``, scales each spectrum so that pairwise products stay at
+    most 1/(p-1). ``lam_high`` above one (distance-decreasing chain) or
+    ``cap_products=False`` (rank chain) step outside the hypotheses; inside
+    them a search is expected to come back empty.
+    """
 
-def _sample_rank(
-    rng: np.random.Generator,
-    n: int,
-    p: int,
-    count: int,
-    lam_high: float,
-    lam_low: float = 0.0,
-    cap: bool = True,
-):
-    """Spectra with at most p nonzero entries, pairwise products capped at 1/(p-1) if ``cap``."""
-    lam = rng.uniform(lam_low, lam_high, size=(count, n))
-    if p < n:
-        order = np.argsort(rng.random((count, n)), axis=-1)
-        mask = np.zeros((count, n))
-        np.put_along_axis(mask, order[:, :p], 1.0, axis=-1)
-        lam = lam * mask
-    if cap:
+    chain: str
+    n: int
+    lam_low: float = 0.0
+    lam_high: float = 1.0
+    p: int | None = None
+    cap_products: bool = True
+
+    def __post_init__(self):
+        if self.chain not in (CHAIN_DD, CHAIN_RANK):
+            raise ValueError(f"unknown chain {self.chain!r}")
+        if self.chain == CHAIN_RANK and (self.p is None or self.p < 2):
+            raise ValueError("rank regime needs p >= 2")
+        if self.n < 2:
+            raise ValueError("need n >= 2")
+        if not 0 <= self.lam_low <= self.lam_high:
+            raise ValueError("need 0 <= lam_low <= lam_high")
+
+    @property
+    def in_hypothesis(self) -> bool:
+        """Whether every point of the box satisfies the chain's hypotheses."""
+        return self.lam_high <= 1.0 if self.chain == CHAIN_DD else self.cap_products
+
+    def _capped(self, lam: np.ndarray) -> np.ndarray:
+        """Spectra (last axis) scaled so pairwise products stay at most 1/(p-1), if capped."""
+        if self.chain == CHAIN_DD or not self.cap_products:
+            return lam
+        bound = 1.0 / (self.p - 1)
         top = np.sort(lam, axis=-1)
-        prod = top[:, -1] * top[:, -2]
-        bound = 1.0 / (p - 1)
+        prod = top[..., -1] * top[..., -2]
+        # an exact 1.0 leaves spectra under the cap bit-identical
         factor = np.where(prod > bound, np.sqrt(bound / np.maximum(prod, 1e-300)), 1.0)
-        lam = lam * factor[:, None]
-    C = rng.uniform(-1.0, 1.0, size=(count, n, n))
-    return lam, C
+        return lam * factor[..., None]
+
+    def sample(self, rng: np.random.Generator, count: int):
+        """``count`` uniform points: spectra (count, n) and pairings (count, n, n)."""
+        lam = rng.uniform(self.lam_low, self.lam_high, size=(count, self.n))
+        if self.chain == CHAIN_RANK and self.p < self.n:
+            # a random choice of p stretches stays nonzero
+            order = np.argsort(rng.random((count, self.n)), axis=-1)
+            np.put_along_axis(lam, order[:, self.p :], 0.0, axis=-1)
+        lam = self._capped(lam)
+        C = rng.uniform(-1.0, 1.0, size=(count, self.n, self.n))
+        return lam, C
+
+    def project(self, lam, C):
+        """Map any finite (lam, C), batched or not, into the box."""
+        lam = np.maximum(np.clip(lam, self.lam_low, self.lam_high), 0.0)
+        C = np.clip(C, -1.0, 1.0)
+        if self.chain == CHAIN_RANK and self.p < self.n:
+            # keep only the p largest stretches
+            order = np.argsort(lam, axis=-1)
+            np.put_along_axis(lam, order[..., : self.n - self.p], 0.0, axis=-1)
+        return self._capped(lam), C
+
+    def margin(self, lam, C):
+        """Worst chain inequality relative to the sample scale; negative means violated."""
+        if self.chain == CHAIN_DD:
+            return dd_chain_terms(lam, C)[2] / chain_scale(C)
+        F0, Fd, Fo, Fl = rank_chain_terms(lam, C, self.p)
+        return np.minimum(np.minimum(F0, Fo), Fd - Fl) / chain_scale(C)
 
 
 @dataclass(frozen=True)
@@ -304,9 +351,10 @@ def run_dd_campaign(
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    regime = SearchRegime(CHAIN_DD, n, lam_high=lam_high)
 
     def work(rng, size):
-        lam, C = _sample_dd(rng, n, size, 0.0, lam_high)
+        lam, C = regime.sample(rng, size)
         E1, E2, E3 = dd_chain_terms(lam, C)
         scale = chain_scale(C)
         return (
@@ -319,9 +367,8 @@ def run_dd_campaign(
     min_e1_e2 = min(e1_e2)
     max_identity = max(identity)
     min_e3 = min(e3)
-    in_hyp = lam_high <= 1.0
     passed = min_e1_e2 >= -tol and max_identity <= tol
-    if in_hyp:
+    if regime.in_hypothesis:
         passed = passed and min_e3 >= -tol
     return CampaignReport(
         chain=CHAIN_DD,
@@ -351,9 +398,10 @@ def run_rank_campaign(
     """Randomized verification of the rank chain inside its hypotheses."""
     if min(n, p) < 2:
         raise ValueError("need n >= 2 and p >= 2")
+    regime = SearchRegime(CHAIN_RANK, n, p=p)
 
     def work(rng, size):
-        lam, C = _sample_rank(rng, n, p, size, lam_high=1.0)
+        lam, C = regime.sample(rng, size)
         F0, Fd, Fo, Fl = rank_chain_terms(lam, C, p)
         scale = chain_scale(C)
         return (
@@ -381,33 +429,6 @@ def run_rank_campaign(
 
 
 # -- counterexample search ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchRegime:
-    """Sampling box for a counterexample hunt.
-
-    ``lam_high`` above one (distance-decreasing chain) or
-    ``cap_products=False`` (rank chain) step outside the hypotheses; inside
-    them the search is expected to come back empty.
-    """
-
-    chain: str
-    n: int
-    lam_low: float = 0.0
-    lam_high: float = 1.0
-    p: int | None = None
-    cap_products: bool = True
-
-    def __post_init__(self):
-        if self.chain not in (CHAIN_DD, CHAIN_RANK):
-            raise ValueError(f"unknown chain {self.chain!r}")
-        if self.chain == CHAIN_RANK and (self.p is None or self.p < 2):
-            raise ValueError("rank regime needs p >= 2")
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if not 0 <= self.lam_low <= self.lam_high:
-            raise ValueError("need 0 <= lam_low <= lam_high")
 
 
 @dataclass(frozen=True)
@@ -441,144 +462,93 @@ class SearchReport:
         return out
 
 
-def _dd_margin(lam, C):
-    E1, E2, E3 = dd_chain_terms(lam, C)
-    return E3 / chain_scale(C)
-
-
-def _rank_margin(lam, C, p):
-    F0, Fd, Fo, Fl = rank_chain_terms(lam, C, p)
-    scale = chain_scale(C)
-    return np.minimum(np.minimum(F0, Fo), Fd - Fl) / scale
-
-
-def _regime_margin(regime: SearchRegime, lam, C):
-    if regime.chain == CHAIN_DD:
-        return _dd_margin(lam, C)
-    return _rank_margin(lam, C, regime.p)
-
-
-def _project(regime: SearchRegime, lam, C):
-    lam = np.clip(lam, regime.lam_low, regime.lam_high)
-    lam = np.maximum(lam, 0.0)
-    C = np.clip(C, -1.0, 1.0)
-    if regime.chain == CHAIN_RANK:
-        if regime.p < regime.n:
-            # keep only the p largest stretches
-            order = np.argsort(lam)
-            lam = lam.copy()
-            lam[order[: regime.n - regime.p]] = 0.0
-        if regime.cap_products:
-            top = np.sort(lam)
-            prod = top[-1] * top[-2]
-            bound = 1.0 / (regime.p - 1)
-            if prod > bound:
-                lam = lam * np.sqrt(bound / prod)
-    return lam, C
-
-
 def _analytic_seeds(regime: SearchRegime):
-    """Hand-built candidates worth trying before random search."""
-    seeds = []
+    """Hand-built candidates tried before random search: spectra (k, n), pairings (k, n, n).
+
+    There is one outside the hypotheses and none inside them.
+    """
     n = regime.n
-    if regime.chain == CHAIN_DD and regime.lam_high > 1.0:
-        lam = np.zeros(n)
-        lam[0] = min(regime.lam_high, 2.0)
-        C = np.zeros((n, n))
-        C[1, 0] = 1.0  # pairs the zero-stretch direction against the large one
-        seeds.append((lam, C))
-    if regime.chain == CHAIN_RANK and not regime.cap_products:
-        lam = np.full(n, min(regime.lam_high, 0.9))
-        if regime.p < n:
-            lam[regime.p :] = 0.0
-        C = np.diag([(-1.0) ** i for i in range(n)]).astype(float)
-        seeds.append((lam, C))
-    return seeds
+    lam = np.zeros((1, n))
+    C = np.zeros((1, n, n))
+    if regime.in_hypothesis:
+        return lam[:0], C[:0]
+    if regime.chain == CHAIN_DD:
+        lam[0, 0] = min(regime.lam_high, 2.0)
+        C[0, 1, 0] = 1.0  # pairs the zero-stretch direction against the large one
+    else:
+        lam[0, : regime.p] = min(regime.lam_high, 0.9)
+        C[0] = np.diag([(-1.0) ** i for i in range(n)])
+    return lam, C
 
 
 def counterexample_search(
     regime: SearchRegime,
     budget: int,
     seed: int = 0,
-    polish: bool = True,
     tol: float = 1e-12,
-    chunk: int = 50_000,
 ) -> SearchReport:
     """Random search plus local refinement for chain violations in a regime.
 
     Returns the most negative certified margin found. Absence of a
     counterexample inside the hypotheses is reported as such, not claimed as
-    a proof.
+    a proof. Samples are drawn and scored ``SEARCH_CHUNK`` at a time.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    best_margin = np.inf
-    best = None
-    evaluated = 0
+    seeds = regime.project(*_analytic_seeds(regime))
 
-    def consider(lam, C):
-        nonlocal best_margin, best
-        margin = float(_regime_margin(regime, lam, C))
-        if margin < best_margin:
-            best_margin = margin
-            best = (np.array(lam), np.array(C))
+    def batches():
+        yield seeds
+        for start in range(0, budget, SEARCH_CHUNK):
+            yield regime.sample(rng, min(SEARCH_CHUNK, budget - start))
 
-    for lam, C in _analytic_seeds(regime):
-        lam, C = _project(regime, lam, C)
-        consider(lam, C)
-        evaluated += 1
-
-    remaining = budget
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        evaluated += size
-        if regime.chain == CHAIN_DD:
-            lam, C = _sample_dd(rng, regime.n, size, regime.lam_low, regime.lam_high)
-        else:
-            lam, C = _sample_rank(
-                rng, regime.n, regime.p, size, regime.lam_high, regime.lam_low, regime.cap_products
-            )
-        margins = _regime_margin(regime, lam, C)
+    best_margin, best = np.inf, None
+    for lam, C in batches():
+        margins = regime.margin(lam, C)
+        if margins.size == 0:
+            continue
         k = int(np.argmin(margins))
         if margins[k] < best_margin:
             best_margin = float(margins[k])
             best = (lam[k].copy(), C[k].copy())
 
-    if polish and best is not None and best_margin < 0:
-        from scipy.optimize import minimize
+    if best_margin < 0:
+        from scipy.optimize import minimize  # lazy: importing the CLI must not load it
 
         n = regime.n
 
-        def objective(x):
-            lam, C = _project(regime, x[:n], x[n:].reshape(n, n))
-            return float(_regime_margin(regime, lam, C))
+        def point(x):
+            return regime.project(x[:n], x[n:].reshape(n, n))
 
         x0 = np.concatenate([best[0], best[1].ravel()])
-        res = minimize(objective, x0, method="Nelder-Mead", options={"maxiter": 400 * x0.size, "xatol": 1e-10, "fatol": 1e-14})
-        lam, C = _project(regime, res.x[:n], res.x[n:].reshape(n, n))
-        certified = float(_regime_margin(regime, lam, C))
+        res = minimize(
+            lambda x: float(regime.margin(*point(x))),
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": 400 * x0.size, "xatol": 1e-10, "fatol": 1e-14},
+        )
+        lam, C = point(res.x)
+        certified = float(regime.margin(lam, C))
         if certified < best_margin:
             best_margin = certified
             best = (lam, C)
 
     found = best_margin < -tol
+    blam, bC = best
     values = None
-    blam = bC = None
-    if best is not None and found:
-        blam, bC = best
+    if found:
         if regime.chain == CHAIN_DD:
             values = eval_dd_chain(SpectrumSample(lam=blam), bC)
         else:
-            values = eval_rank_chain(SpectrumSample(lam=blam, p=None), bC, regime.p)
+            values = eval_rank_chain(SpectrumSample(lam=blam), bC, regime.p)
     return SearchReport(
         regime=regime,
         found=found,
         best_margin=float(best_margin),
-        best_lambda=tuple(float(v) for v in blam) if blam is not None else None,
-        best_C=tuple(tuple(float(v) for v in row) for row in bC) if bC is not None else None,
+        best_lambda=tuple(float(v) for v in blam) if found else None,
+        best_C=tuple(tuple(float(v) for v in row) for row in bC) if found else None,
         best_values=values,
-        samples_evaluated=evaluated,
+        samples_evaluated=len(seeds[0]) + budget,
         seed=seed,
     )

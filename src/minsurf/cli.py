@@ -219,10 +219,7 @@ def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> 
     for search in spec.searches:
         report = counterexample_search(search, search.budget, seed=next(child))
         searches.append(report.summary())
-        in_hypothesis = (
-            search.lam_high <= 1.0 if search.chain == "distance_decreasing" else search.cap_products
-        )
-        if in_hypothesis and report.found:
+        if search.in_hypothesis and report.found:
             failures.append(
                 f"counterexample found inside hypotheses ({search.chain}, n={search.n})"
             )
@@ -301,12 +298,15 @@ def _cmd_validate(cfg: RunConfig, results: dict, failures: list, fields: dict) -
         larger_is_bad=False,
     )
 
-    if n == 2:
-        flat = GridMap.constant(grid, [0.0])
-        st = stability_index(flat, cfg.stability, warn=False)
-        target = 2.0 * np.pi**2
-        check("flat_eigenvalue_rel_err", abs(st.min_eigenvalue - target) / target, 0.02)
+    # the flat map's theta is the smallest Dirichlet eigenvalue of the discrete
+    # Laplacian, known exactly on every grid
+    st = stability_index(GridMap.constant(grid, [0.0]), cfg.stability, warn=False)
+    target = sum(
+        (2.0 - 2.0 * np.cos(np.pi / (N - 1))) / h**2 for N, h in zip(grid.counts, grid.spacings)
+    )
+    check("flat_eigenvalue_rel_err", abs(st.min_eigenvalue - target) / target, 1e-8)
 
+    if n == 2:
         # residual-vs-h and eigenvalue-vs-h tables for plotting
         residual_rows = []
         eigen_rows = []

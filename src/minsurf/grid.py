@@ -179,12 +179,6 @@ class GridMap:
     def boundary_values(self) -> np.ndarray:
         return self.values[self.grid.boundary_mask]
 
-    def boundary_agrees_with(self, other: "GridMap", tol: float = 0.0) -> bool:
-        if not self.grid.compatible_with(other.grid) or self.m != other.m:
-            return False
-        diff = np.abs(self.boundary_values() - other.boundary_values())
-        return bool(diff.max(initial=0.0) <= tol)
-
 
 @dataclass(frozen=True)
 class JacobianField:

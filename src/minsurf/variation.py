@@ -315,7 +315,6 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig, 
     X = b_orthonormalize(X)
     history: list[float] = []
     theta = np.inf
-    ritz = None
     converged = False
     resid = np.inf
     refactors = 0
@@ -327,7 +326,6 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig, 
         X = X @ U
         SX = SX @ U
         theta = float(ritz_vals[0])
-        ritz = ritz_vals
         history.append(theta)
         r = SX[:, 0] - theta * (B_diag * X[:, 0])
         resid = float(np.sqrt(np.sum(r * r / B_diag)))

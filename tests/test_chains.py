@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -228,3 +228,88 @@ def test_cli_import_leaves_optimizer_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@st.composite
+def search_regimes(draw):
+    chain = draw(st.sampled_from(["distance_decreasing", "rank"]))
+    lam_low, lam_high = sorted(draw(st.floats(0, 2)) for _ in range(2))
+    return SearchRegime(
+        chain=chain,
+        n=draw(st.integers(2, 4)),
+        lam_low=lam_low,
+        lam_high=lam_high,
+        p=draw(st.integers(2, 4)) if chain == "rank" else None,
+        cap_products=draw(st.booleans()),
+    )
+
+
+def _assert_in_box(regime, lam, C):
+    n = regime.n
+    assert lam.shape[-1] == n and C.shape == lam.shape + (n,)
+    assert np.all(np.abs(C) <= 1.0)
+    assert np.all((lam >= 0.0) & (lam <= regime.lam_high))
+    if regime.chain == "rank":
+        assert np.all(np.count_nonzero(lam, axis=-1) <= regime.p)
+    if regime.in_hypothesis:
+        for row, pairings in zip(lam.reshape(-1, n), C.reshape(-1, n, n)):
+            sample = SpectrumSample(lam=row)
+            if regime.chain == "rank":
+                assert eval_rank_chain(sample, pairings, regime.p).in_hypothesis
+            else:
+                assert eval_dd_chain(sample, pairings).in_hypothesis
+
+
+@given(regime=search_regimes(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_regime_samples_stay_in_the_box(regime, seed):
+    lam, C = regime.sample(np.random.default_rng(seed), 64)
+    assert lam.shape == (64, regime.n)
+    _assert_in_box(regime, lam, C)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    regime=search_regimes(),
+    lam=hnp.arrays(np.float64, (3, 4), elements=_FINITE),
+    C=hnp.arrays(np.float64, (3, 4, 4), elements=_FINITE),
+)
+@settings(max_examples=200, deadline=None)
+def test_regime_projection_lands_in_the_box_row_by_row(regime, lam, C):
+    n = regime.n
+    lam, C = lam[:, :n], C[:, :n, :n]
+    batch = regime.project(lam, C)
+    _assert_in_box(regime, *batch)
+    for k in range(len(lam)):
+        lam_k, C_k = regime.project(lam[k], C[k])
+        assert np.array_equal(lam_k, batch[0][k]) and np.array_equal(C_k, batch[1][k])
+
+
+_DD = "distance_decreasing"
+
+
+@given(regime=search_regimes())
+@example(regime=SearchRegime(chain=_DD, n=2, lam_high=1.0))
+@example(regime=SearchRegime(chain=_DD, n=3, lam_low=0.5, lam_high=0.5))
+@example(regime=SearchRegime(chain=_DD, n=2, lam_high=float(np.nextafter(1.0, 2.0))))
+@example(regime=SearchRegime(chain=_DD, n=2, lam_high=2.0, cap_products=False))
+@example(regime=SearchRegime(chain="rank", n=3, p=2, lam_high=2.0))
+@example(regime=SearchRegime(chain="rank", n=3, p=3, lam_high=0.5, cap_products=False))
+@settings(max_examples=100, deadline=None)
+def test_regime_in_hypothesis_is_the_theorem_box(regime):
+    if regime.chain == "rank":
+        assert regime.in_hypothesis is regime.cap_products
+    else:
+        assert regime.in_hypothesis is (regime.lam_high <= 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_regime_margin_of_projected_dd_seed(n):
+    regime = SearchRegime(chain="distance_decreasing", n=n, lam_high=2.0)
+    lam = np.zeros(n)
+    lam[0] = 2.0
+    C = np.zeros((n, n))
+    C[1, 0] = 1.0
+    assert abs(regime.margin(*regime.project(lam, C)) + 0.3) <= 1e-15

@@ -450,3 +450,16 @@ def test_oracle_seeds_are_a_prefix_of_the_seed_sequence(tmp_path):
     seeds = [c["seed"] for c in results["campaigns"] + results["searches"]]
     assert len(seeds) == 2 + 3 + 1
     assert seeds == np.random.SeedSequence(17).generate_state(200)[: len(seeds)].tolist()
+
+
+@pytest.mark.parametrize("counts", [[3, 3], [4, 3], [5], [3, 3, 3]])
+def test_validate_flat_eigenvalue_is_exact_on_coarse_grids(tmp_path, counts):
+    doc = {
+        "command": "validate",
+        "output_dir": str(tmp_path / "out"),
+        "validate": {"counts": counts, "oracle_samples": 200},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 0, report["assertion_failures"]
+    (flat,) = [c for c in report["results"]["checks"] if c["name"] == "flat_eigenvalue_rel_err"]
+    assert flat["passed"] and flat["value"] <= 1e-8
