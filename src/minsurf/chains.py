@@ -115,6 +115,17 @@ def chain_scale(C: np.ndarray) -> np.ndarray:
     return np.sum(np.asarray(C) ** 2, axis=(-2, -1)) + 1.0
 
 
+def _entries(lam, C):
+    """Stretches (n, ...) and pairings (n, n, ...): matrix axes first, each entry contiguous.
+
+    The kernels sum over entries one at a time and square by multiplying, so
+    that one sample takes the same operations as a batch.
+    """
+    lam = np.ascontiguousarray(np.moveaxis(np.asarray(lam, dtype=float), -1, 0))
+    C = np.ascontiguousarray(np.moveaxis(np.asarray(C, dtype=float), (-2, -1), (0, 1)))
+    return lam, C, 1.0 + lam * lam
+
+
 def dd_chain_terms(lam: np.ndarray, C: np.ndarray, row_slack: np.ndarray | None = None):
     """(E1, E2, E3) for batched spectra (..., n) and pairings (..., n, n).
 
@@ -122,61 +133,55 @@ def dd_chain_terms(lam: np.ndarray, C: np.ndarray, row_slack: np.ndarray | None 
     sum_j C_ij^2; ``row_slack`` adds an optional nonnegative per-row surplus
     to model the slack in that bound (it only enlarges E1).
     """
-    lam = np.asarray(lam, dtype=float)
-    C = np.asarray(C, dtype=float)
-    mu = 1.0 + lam**2
-    Csq = C**2
-    mu_i = mu[..., :, None]
-    mu_j = mu[..., None, :]
-    denom = mu_i * mu_j
-    row_weighted = Csq / mu_i
-    first = row_weighted.sum(axis=(-2, -1))
-    slack_term = 0.0
+    lam, C, mu = _entries(lam, C)
+    n = len(lam)
+    lam2 = lam * lam
+    shrink = (1.0 - lam2) / mu
+    first = cross = stretched = E3 = 0.0
+    for i, j in np.ndindex(n, n):
+        c, d, denom = C[i, j], C[j, i], mu[i] * mu[j]
+        c2, e = c * c, lam[j] * c + lam[i] * d
+        weighted = c2 / mu[i]
+        first += weighted
+        cross += e * e / denom
+        stretched += (lam2[j] * c2 + lam2[i] * (d * d)) / denom
+        E3 += weighted * shrink[j]
+    E1 = first - 0.5 * cross
     if row_slack is not None:
         row_slack = np.asarray(row_slack, dtype=float)
         if np.any(row_slack < 0):
             raise ValueError("row_slack must be nonnegative")
-        slack_term = (row_slack / mu).sum(axis=-1)
-    cross = lam[..., None, :] * C + lam[..., :, None] * np.swapaxes(C, -1, -2)
-    E1 = first + slack_term - 0.5 * (cross**2 / denom).sum(axis=(-2, -1))
-    lam2 = lam**2
-    E2 = first - (
-        (lam2[..., None, :] * Csq + lam2[..., :, None] * np.swapaxes(Csq, -1, -2)) / denom
-    ).sum(axis=(-2, -1))
-    E3 = (row_weighted * ((1.0 - lam2) / mu)[..., None, :]).sum(axis=(-2, -1))
-    return E1, E2, E3
+        for i in range(n):
+            E1 = E1 + row_slack[..., i] / mu[i]
+    return E1, first - stretched, E3
 
 
 def rank_chain_terms(lam: np.ndarray, C: np.ndarray, p: int):
     """(F0, F_diag, F_offdiag, F_lower) for batched inputs at rank budget p."""
     if p < 2:
         raise ValueError("rank chain requires p >= 2")
-    lam = np.asarray(lam, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n = lam.shape[-1]
-    mu = 1.0 + lam**2
-    Csq = C**2
-    mu_i = mu[..., :, None]
-    denom = mu_i * mu[..., None, :]
-    diag = np.diagonal(C, axis1=-2, axis2=-1)
-    cross = lam[..., None, :] * C + lam[..., :, None] * np.swapaxes(C, -1, -2)
-    t = lam * diag / mu
-    trace_term = t.sum(axis=-1)
-    F0 = (Csq / mu_i).sum(axis=(-2, -1)) + trace_term**2 - 0.5 * (cross**2 / denom).sum(
-        axis=(-2, -1)
-    )
-    F_diag = (diag**2 / mu**2).sum(axis=-1) + (trace_term**2 - (t**2).sum(axis=-1))
-    lamlam = lam[..., :, None] * lam[..., None, :]
-    T = (Csq + np.swapaxes(Csq, -1, -2) - 2.0 * lamlam * C * np.swapaxes(C, -1, -2)) / (
-        2.0 * denom
-    )
-    idx = np.arange(n)
-    T[..., idx, idx] = 0.0
-    F_offdiag = T.sum(axis=(-2, -1))
+    lam, C, mu = _entries(lam, C)
+    n = len(lam)
     nz = (lam > 0.0).astype(float)
-    a = np.abs(diag) / mu
-    count = nz.sum(axis=-1)
-    F_lower = (count * (nz * a**2).sum(axis=-1) - ((nz * a).sum(axis=-1)) ** 2) / (p - 1)
+    first = cross = F_offdiag = trace_term = t_sq = diag_sq = count = a_sum = a_sq = 0.0
+    for i, j in np.ndindex(n, n):
+        c, d, denom = C[i, j], C[j, i], mu[i] * mu[j]
+        e = lam[j] * c + lam[i] * d
+        first += c * c / mu[i]
+        cross += e * e / denom
+        if i != j:
+            F_offdiag += (c * c + d * d - 2.0 * (lam[i] * lam[j]) * c * d) / (2.0 * denom)
+            continue
+        t, a = lam[i] * c / mu[i], nz[i] * np.abs(c) / mu[i]
+        trace_term += t
+        t_sq += t * t
+        diag_sq += c * c / denom
+        count += nz[i]
+        a_sum += a
+        a_sq += a * a
+    F0 = first + trace_term * trace_term - 0.5 * cross
+    F_diag = diag_sq + (trace_term * trace_term - t_sq)
+    F_lower = (count * a_sq - a_sum * a_sum) / (p - 1)
     return F0, F_diag, F_offdiag, F_lower
 
 
@@ -253,8 +258,8 @@ class SearchRegime:
             raise ValueError("rank regime needs p >= 2")
         if self.n < 2:
             raise ValueError("need n >= 2")
-        if not 0 <= self.lam_low <= self.lam_high:
-            raise ValueError("need 0 <= lam_low <= lam_high")
+        if not 0 <= self.lam_low <= self.lam_high < np.inf:
+            raise ValueError("need 0 <= lam_low <= lam_high < inf")
 
     @property
     def in_hypothesis(self) -> bool:
@@ -319,6 +324,9 @@ def _campaign_columns(work, samples: int, seed: int, threads: int, chunk: int) -
     Each chunk draws from its own child of ``SeedSequence(seed)``, so the
     samples do not depend on ``threads``.
     """
+    for name, value in (("samples", samples), ("chunk", chunk)):
+        if value < 1:
+            raise ValueError(f"need {name} >= 1")
     sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
     jobs = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
 

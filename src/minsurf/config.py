@@ -54,15 +54,17 @@ def _check_keys(d: dict, allowed, path: str) -> None:
 
 
 def _check(v, where: str, check) -> None:
-    """``check`` is None, _POSITIVE, a tuple of allowed values or an inclusive minimum."""
+    """``check`` is None, a tuple of allowed values, or _POSITIVE or a minimum for a finite v."""
     if check is None:
         return
-    if check == _POSITIVE:
-        if v <= 0:
-            raise ConfigError(f"{where}: must be positive")
-    elif isinstance(check, tuple):
+    if isinstance(check, tuple):
         if v not in check:
             raise ConfigError(f"{where}: unknown value {v!r} (expected one of {check})")
+    elif not np.isfinite(v):
+        raise ConfigError(f"{where}: must be finite")
+    elif check == _POSITIVE:
+        if v <= 0:
+            raise ConfigError(f"{where}: must be positive")
     elif v < check:
         raise ConfigError(f"{where}: must be >= {check}")
 

@@ -313,3 +313,97 @@ def test_regime_margin_of_projected_dd_seed(n):
     C = np.zeros((n, n))
     C[1, 0] = 1.0
     assert abs(regime.margin(*regime.project(lam, C)) + 0.3) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "campaign, message",
+    [
+        (lambda: run_rank_campaign(3, 2, 0, seed=1), "need samples >= 1"),
+        (lambda: run_dd_campaign(2, 0, seed=1), "need samples >= 1"),
+        (lambda: run_dd_campaign(2, 10, seed=1, chunk=0), "need chunk >= 1"),
+        (lambda: run_rank_campaign(3, 2, 10, seed=1, chunk=0), "need chunk >= 1"),
+    ],
+    ids=["rank-no-samples", "dd-no-samples", "dd-chunk-0", "rank-chunk-0"],
+)
+def test_campaigns_reject_empty_work(campaign, message):
+    with pytest.raises(ValueError, match=message):
+        campaign()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SearchRegime(chain=_DD, n=2, lam_high=np.inf),
+        lambda: SearchRegime(chain="rank", n=3, p=2, lam_low=np.inf, lam_high=np.inf),
+        lambda: run_dd_campaign(2, 10, seed=1, lam_high=np.inf),
+    ],
+    ids=["dd-regime", "rank-regime", "dd-campaign"],
+)
+def test_regime_bounds_must_be_finite(make):
+    with pytest.raises(ValueError, match="lam_high < inf"):
+        make()
+
+
+def _dense_chains(lam, C, p):
+    """Every chain expression at one sample, term by term as the module docstring writes it."""
+    n = len(lam)
+    mu = 1.0 + lam**2
+    denom = np.outer(mu, mu)
+    off = ~np.eye(n, dtype=bool)
+    diag = np.diag(C)
+    first = np.sum(C**2 / mu[:, None])
+    cross = np.sum((lam[None, :] * C + lam[:, None] * C.T) ** 2 / denom)
+    t = lam * diag / mu
+    a = np.abs(diag) / mu
+    nonzero = np.flatnonzero(lam > 0.0)
+    return {
+        "E1": first - 0.5 * cross,
+        "E2": first - np.sum((lam[None, :] ** 2 * C**2 + lam[:, None] ** 2 * C.T**2) / denom),
+        "E3": np.sum(C**2 / mu[:, None] * ((1.0 - lam**2) / mu)[None, :]),
+        "F0": first + np.sum(t) ** 2 - 0.5 * cross,
+        "F_diag": np.sum(diag**2 / mu**2) + np.sum(np.outer(t, t)[off]),
+        "F_offdiag": np.sum(
+            ((C**2 + C.T**2 - 2.0 * np.outer(lam, lam) * C * C.T) / (2.0 * denom))[off]
+        ),
+        "F_lower": sum(
+            (a[i] - a[j]) ** 2 for i in nonzero for j in nonzero if i < j
+        ) / (p - 1),
+    }
+
+
+@st.composite
+def chain_batches(draw):
+    n = draw(st.integers(2, 4))
+    p = draw(st.integers(2, n))
+    k = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (k,), (k, 2)]))
+    stretch = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    lam = draw(hnp.arrays(np.float64, lead + (n,), elements=stretch))
+    C = draw(hnp.arrays(np.float64, lead + (n, n), elements=st.floats(-1.0, 1.0)))
+    return lam, C, p
+
+
+_DD_NAMES = ("E1", "E2", "E3")
+_RANK_NAMES = ("F0", "F_diag", "F_offdiag", "F_lower")
+
+
+@given(batch=chain_batches())
+@settings(max_examples=200, deadline=None)
+def test_chain_kernels_match_the_dense_formulas(batch):
+    lam, C, p = batch
+    terms = dict(zip(_DD_NAMES, dd_chain_terms(lam, C)))
+    terms.update(zip(_RANK_NAMES, rank_chain_terms(lam, C, p)))
+    scale = chain_scale(C)
+    for name, value in terms.items():
+        assert np.shape(value) == lam.shape[:-1], name
+    assert np.all(np.abs(terms["E2"] - terms["E3"]) <= 1e-13 * scale)
+    split = terms["F0"] - terms["F_diag"] - terms["F_offdiag"]
+    assert np.all(np.abs(split) <= 1e-13 * scale)
+    for idx in np.ndindex(lam.shape[:-1]):
+        dense = _dense_chains(lam[idx], C[idx], p)
+        single = dict(zip(_DD_NAMES, dd_chain_terms(lam[idx], C[idx])))
+        single.update(zip(_RANK_NAMES, rank_chain_terms(lam[idx], C[idx], p)))
+        for name, value in terms.items():
+            assert abs(value[idx] - dense[name]) <= 1e-14 * scale[idx], name
+            # one sample alone takes the same operations in the same order
+            assert np.array_equal(single[name], value[idx]), name

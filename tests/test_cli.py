@@ -153,6 +153,33 @@ def test_oracle_in_hypothesis_campaigns_pass(tmp_path):
     assert all(c["passed"] for c in report["results"]["campaigns"])
 
 
+# the campaigns and searches of the benchmark's oracle workload, at reduced size
+_ORACLE_SET = {
+    "samples": 60_000,
+    "n_values": [2, 3, 4],
+    "p_values": [2, 3],
+    "searches": [
+        {"chain": "distance_decreasing", "n": 2, "lam_high": 2.0, "budget": 20_000},
+        {"chain": "rank", "n": 3, "p": 2, "lam_high": 1.5, "cap_products": False, "budget": 20_000},
+        {"chain": "distance_decreasing", "n": 3, "lam_high": 1.0, "budget": 20_000},
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", [29000, 71000, 5])
+def test_oracle_workload_outcomes(tmp_path, seed):
+    doc = {"command": "oracle", "seed": seed, "output_dir": str(tmp_path / "out"), "oracle": _ORACLE_SET}
+    code, report = run(parse_config(doc))
+    assert code == 0, report["assertion_failures"]
+    campaigns = report["results"]["campaigns"]
+    assert len(campaigns) == 3 + 5 and all(c["passed"] for c in campaigns)
+    dd_witness, rank_witness, dd_inside = report["results"]["searches"]
+    # the analytic witness: E3 = -3/5 at scale 2
+    assert dd_witness["found"] and abs(dd_witness["best_margin"] + 0.3) <= 1e-9
+    assert rank_witness["found"]
+    assert not dd_inside["found"]
+
+
 def test_homotopy_command_emits_profile_csv(tmp_path):
     doc = {
         "command": "homotopy",
@@ -331,6 +358,20 @@ SWEEP_DOC = {
         ({**BASE_SOLVE, "grid": {"extents": [[1.0, 0.0], [0.0, 1.0]], "counts": [5, 5]}}, "grid: axis 0"),
         ({**BASE_SOLVE, "grid": {"extents": [[0.0, 1.0], [0.0, float("inf")]], "counts": [5, 5]}}, "grid: axis 1"),
         ({"command": "validate", "validate": {"counts": [2, 2]}}, "validate.counts[0]: must be >= 3"),
+        (
+            {"command": "oracle", "oracle": {"lambda_high": float("inf")}},
+            "oracle.lambda_high: must be finite",
+        ),
+        ({**BASE_SOLVE, "criteria": {"tol": float("nan")}}, "criteria.tol: must be finite"),
+        (
+            {
+                "command": "oracle",
+                "oracle": {
+                    "searches": [{"chain": "rank", "n": 3, "p": 2, "lam_high": float("inf")}]
+                },
+            },
+            "oracle.searches[0]: need 0 <= lam_low <= lam_high < inf",
+        ),
     ],
     ids=[
         "line-search-factor",
@@ -347,6 +388,9 @@ SWEEP_DOC = {
         "grid-extents-reversed",
         "grid-extents-infinite",
         "validate-counts-below-3",
+        "oracle-lambda-high-infinite",
+        "criteria-tol-nan",
+        "search-lam-high-infinite",
     ],
 )
 def test_malformed_value_exit_2(tmp_path, capsys, doc, path):
