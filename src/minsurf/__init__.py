@@ -64,8 +64,6 @@ from .variation import (
     StabilityReport,
     VariationField,
     first_variation,
-    hessian_apply,
-    second_variation,
     stability_index,
 )
 

@@ -33,7 +33,9 @@ certifies the inequalities by randomized campaigns and hunts for
 counterexamples outside the hypotheses. ``SearchRegime`` owns the sampling
 box: it draws and projects points, scores them by the chain's margin and says
 whether the whole box lies inside the hypotheses, for campaigns and searches
-alike.
+alike. Both draw ``SAMPLE_CHUNK`` samples at a time, so a seed fixes the
+samples whatever the thread count, and both judge margins against one
+tolerance ``tol``, which the CLI takes from ``oracle.tol``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ __all__ = [
 
 CHAIN_DD = "distance_decreasing"
 CHAIN_RANK = "rank"
-SEARCH_CHUNK = 50_000  # samples a counterexample search draws and scores at a time
+SAMPLE_CHUNK = 50_000  # samples a campaign or search draws and scores at a time
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,11 @@ def _entries(lam, C):
     return lam, C, 1.0 + lam * lam
 
 
-def dd_chain_terms(lam: np.ndarray, C: np.ndarray, row_slack: np.ndarray | None = None):
+def dd_chain_terms(lam: np.ndarray, C: np.ndarray):
     """(E1, E2, E3) for batched spectra (..., n) and pairings (..., n, n).
 
     E1 instantiates the squared derivative norms at their lower bound
-    sum_j C_ij^2; ``row_slack`` adds an optional nonnegative per-row surplus
-    to model the slack in that bound (it only enlarges E1).
+    sum_j C_ij^2; any surplus over that bound only enlarges E1.
     """
     lam, C, mu = _entries(lam, C)
     n = len(lam)
@@ -146,14 +147,7 @@ def dd_chain_terms(lam: np.ndarray, C: np.ndarray, row_slack: np.ndarray | None 
         cross += e * e / denom
         stretched += (lam2[j] * c2 + lam2[i] * (d * d)) / denom
         E3 += weighted * shrink[j]
-    E1 = first - 0.5 * cross
-    if row_slack is not None:
-        row_slack = np.asarray(row_slack, dtype=float)
-        if np.any(row_slack < 0):
-            raise ValueError("row_slack must be nonnegative")
-        for i in range(n):
-            E1 = E1 + row_slack[..., i] / mu[i]
-    return E1, first - stretched, E3
+    return first - 0.5 * cross, first - stretched, E3
 
 
 def rank_chain_terms(lam: np.ndarray, C: np.ndarray, p: int):
@@ -195,12 +189,10 @@ def _pairings(sample: SpectrumSample, C) -> np.ndarray:
     return C
 
 
-def eval_dd_chain(
-    sample: SpectrumSample, C: np.ndarray, row_slack: np.ndarray | None = None
-) -> ChainEvaluation:
+def eval_dd_chain(sample: SpectrumSample, C: np.ndarray) -> ChainEvaluation:
     """Distance-decreasing chain at one sample."""
     C = _pairings(sample, C)
-    E1, E2, E3 = dd_chain_terms(sample.lam, C, row_slack)
+    E1, E2, E3 = dd_chain_terms(sample.lam, C)
     return ChainEvaluation(
         E1=float(E1),
         E2=float(E2),
@@ -256,6 +248,8 @@ class SearchRegime:
             raise ValueError(f"unknown chain {self.chain!r}")
         if self.chain == CHAIN_RANK and (self.p is None or self.p < 2):
             raise ValueError("rank regime needs p >= 2")
+        if self.chain == CHAIN_DD and self.p is not None:
+            raise ValueError("p applies to the rank chain only")
         if self.n < 2:
             raise ValueError("need n >= 2")
         if not 0 <= self.lam_low <= self.lam_high < np.inf:
@@ -318,16 +312,15 @@ class CampaignReport(Summarized):
     passed: bool
 
 
-def _campaign_columns(work, samples: int, seed: int, threads: int, chunk: int) -> list[tuple]:
-    """Run ``work(rng, size)`` over chunks of the samples; one tuple per result slot.
+def _campaign_columns(work, samples: int, seed: int, threads: int) -> list[tuple]:
+    """Run ``work(rng, size)`` over ``SAMPLE_CHUNK``-sized chunks; one tuple per result slot.
 
     Each chunk draws from its own child of ``SeedSequence(seed)``, so the
     samples do not depend on ``threads``.
     """
-    for name, value in (("samples", samples), ("chunk", chunk)):
-        if value < 1:
-            raise ValueError(f"need {name} >= 1")
-    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+    sizes = [min(SAMPLE_CHUNK, samples - start) for start in range(0, samples, SAMPLE_CHUNK)]
     jobs = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
 
     def job(args):
@@ -349,7 +342,6 @@ def run_dd_campaign(
     lam_high: float = 1.0,
     tol: float = 1e-12,
     threads: int = 1,
-    chunk: int = 50_000,
 ) -> CampaignReport:
     """Randomized verification of the distance-decreasing chain.
 
@@ -371,7 +363,7 @@ def run_dd_campaign(
             float((E3 / scale).min()),
         )
 
-    e1_e2, identity, e3 = _campaign_columns(work, samples, seed, threads, chunk)
+    e1_e2, identity, e3 = _campaign_columns(work, samples, seed, threads)
     min_e1_e2 = min(e1_e2)
     max_identity = max(identity)
     min_e3 = min(e3)
@@ -401,7 +393,6 @@ def run_rank_campaign(
     seed: int,
     tol: float = 1e-12,
     threads: int = 1,
-    chunk: int = 50_000,
 ) -> CampaignReport:
     """Randomized verification of the rank chain inside its hypotheses."""
     if min(n, p) < 2:
@@ -421,7 +412,7 @@ def run_rank_campaign(
         )
 
     names = ("min_F0", "min_F0_minus_split", "min_Fdiag_minus_Flower", "min_Foffdiag", "min_Flower")
-    columns = _campaign_columns(work, samples, seed, threads, chunk)
+    columns = _campaign_columns(work, samples, seed, threads)
     margins = {name: min(col) for name, col in zip(names, columns)}
     passed = all(v >= -tol for v in margins.values())
     return CampaignReport(
@@ -499,7 +490,7 @@ def counterexample_search(
 
     Returns the most negative certified margin found. Absence of a
     counterexample inside the hypotheses is reported as such, not claimed as
-    a proof. Samples are drawn and scored ``SEARCH_CHUNK`` at a time.
+    a proof. Samples are drawn and scored ``SAMPLE_CHUNK`` at a time.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -508,8 +499,8 @@ def counterexample_search(
 
     def batches():
         yield seeds
-        for start in range(0, budget, SEARCH_CHUNK):
-            yield regime.sample(rng, min(SEARCH_CHUNK, budget - start))
+        for start in range(0, budget, SAMPLE_CHUNK):
+            yield regime.sample(rng, min(SAMPLE_CHUNK, budget - start))
 
     best_margin, best = np.inf, None
     for lam, C in batches():

@@ -15,7 +15,6 @@ import datetime
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .area import codim1_residual, fd_gradient_check, minimal_system_residual
 from .chains import counterexample_search, run_dd_campaign, run_rank_campaign
 from .config import MapSpec, RunConfig, load_config, parse_config
 from .criteria import criteria_report
-from .errors import ConfigError, ContradictionDetected, NotMinimalWarning
+from .errors import ConfigError, ContradictionDetected
 from .families import (
     affine_map,
     holomorphic_power_map,
@@ -33,6 +32,7 @@ from .families import (
 )
 from .grid import GridMap, build_grid, jacobian, singular_spectrum
 from .homotopy import (
+    DD_TOL,
     area_profile,
     jacobi_norm_convexity,
     linear_homotopy,
@@ -61,11 +61,9 @@ def _sample_endpoint(spec: MapSpec, grid, cfg: RunConfig, rng) -> GridMap:
     return f
 
 
-def _stability(f: GridMap, cfg: RunConfig, failures: list, where: str = "", area=None):
-    """Stability index of a (near-)minimal map; an unconverged eigen-solve is a failure."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NotMinimalWarning)
-        st = stability_index(f, cfg.stability, minimal_tol=cfg.criteria.minimal_tol, area=area)
+def _stability(f: GridMap, cfg: RunConfig, failures: list, where: str = ""):
+    """Stability index of f, not judging minimality; an unconverged eigen-solve is a failure."""
+    st = stability_index(f, cfg.stability, warn=False)
     if st.verdict == "undetermined":
         failures.append(
             f"{where}eigen-solve did not converge in {st.iterations} iterations "
@@ -87,7 +85,7 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
     fields["residual"] = area.residual
     stability = None
     if cfg.stability.enabled:
-        stability = _stability(f, cfg, failures, area=area)
+        stability = _stability(f, cfg, failures)
         results["stability"] = stability.summary()
         fields["eigenvector"] = stability.eigenvector
     verdict = criteria_report(
@@ -135,11 +133,11 @@ def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -
     results["jacobi"] = jacobi_norm_convexity(homotopy).summary()
     if not profile.dd_envelope_ok:
         failures.append("operator-norm envelope violated along the homotopy")
-    dd_path = max(profile.sup_lambda_max_path) <= 1.0 + 1e-9
+    dd_path = max(profile.sup_lambda_max_path) <= 1.0 + DD_TOL
     if dd_path and not profile.convexity_ok:
         failures.append("area profile convexity violated on a distance-decreasing path")
     unconverged = []
-    if cfg.homotopy.uniqueness_inits >= 2:
+    if cfg.homotopy.uniqueness_inits:
         report = uniqueness_experiment(
             f0,
             init_count=cfg.homotopy.uniqueness_inits,
@@ -217,7 +215,7 @@ def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> 
     results["campaigns"] = campaigns
     searches = []
     for search in spec.searches:
-        report = counterexample_search(search, search.budget, seed=next(child))
+        report = counterexample_search(search, search.budget, seed=next(child), tol=spec.tol)
         searches.append(report.summary())
         if search.in_hypothesis and report.found:
             failures.append(

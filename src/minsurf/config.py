@@ -220,6 +220,10 @@ class HomotopySpec:
     uniqueness_inits: int = 0
     uniq_tol: float = 1e-7
 
+    def __post_init__(self):
+        if self.uniqueness_inits == 1:
+            raise ValueError("uniqueness_inits: 0 turns the experiment off, otherwise at least 2")
+
 
 @dataclass(frozen=True)
 class SweepSpec:

@@ -35,6 +35,7 @@ TJ_FAILS = "fails"
 
 # band around each criterion threshold inside which a verdict is not strict
 DEFAULT_TOL = 1e-9
+CROSSCHECK_MARGIN = 0.02  # relative margin a criterion needs before a negative index contradicts it
 
 # criterion tags listed as applicable in combined reports
 TAG_DISTANCE_DECREASING = "distance-decreasing-stability"
@@ -177,7 +178,6 @@ def criteria_report(
     tol: float = DEFAULT_TOL,
     rank_tol: float | None = None,
     minimal_tol: float = DEFAULT_MINIMAL_TOL,
-    crosscheck_margin: float = 0.02,
     area: AreaReport | None = None,
 ) -> CriteriaVerdict:
     """Evaluate both criteria and cross-check against a stability index.
@@ -223,12 +223,12 @@ def criteria_report(
     if stability is not None and not determined:
         notes.append("stability index undetermined: eigen-solve did not converge")
     if determined and minimal and theta < -eps:
-        dd_solid = dd.verdict == DD_STRICT and dd.strict_margin > crosscheck_margin
-        dd_solid = dd_solid and (1.0 - S.sup_lambda_max("closure")) > crosscheck_margin
+        dd_solid = dd.verdict == DD_STRICT and dd.strict_margin > CROSSCHECK_MARGIN
+        dd_solid = dd_solid and (1.0 - S.sup_lambda_max("closure")) > CROSSCHECK_MARGIN
         tj_solid = tj.vacuous or (
             tj.verdict == TJ_PASSES
             and tj.rank_bound is not None
-            and tj.sup_two_jacobian <= tj.rank_bound * (1.0 - crosscheck_margin)
+            and tj.sup_two_jacobian <= tj.rank_bound * (1.0 - CROSSCHECK_MARGIN)
         )
         tj_solid = tj_solid and tj.verdict == TJ_PASSES
         if dd_solid or tj_solid:

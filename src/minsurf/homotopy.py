@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-12
+PROFILE_TOL = 1e-9  # area_profile's convexity band, relative to 1 + max |area|
+INIT_PERTURBATION = 0.2  # amplitude of the bumps added to the harmonic extension
+DD_TOL = 1e-9  # slack on sup lambda_max <= 1 for a distance-decreasing map
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,11 @@ class HomotopyProfile(Summarized):
     scale: float
 
 
-def area_profile(homotopy: Homotopy, tol: float = 1e-9) -> HomotopyProfile:
+def area_profile(homotopy: Homotopy) -> HomotopyProfile:
     """Sample the area along the homotopy and test discrete convexity.
 
     The convexity verdict asks every second difference to clear
-    -tol * scale with scale = 1 + max |area|. The nodewise operator-norm
+    -PROFILE_TOL * scale with scale = 1 + max |area|. The nodewise operator-norm
     envelope (no intermediate map stretches beyond the endpoints) is checked
     at the same time since it is what propagates the distance-decreasing
     hypothesis along the path.
@@ -107,9 +110,9 @@ def area_profile(homotopy: Homotopy, tol: float = 1e-9) -> HomotopyProfile:
         second_differences=tuple(float(v) for v in d2),
         endpoint_derivatives=(float(d_left), float(d_right)),
         sup_lambda_max_path=tuple(float(s) for s in sups),
-        convexity_ok=bool(np.all(d2 >= -tol * scale)),
+        convexity_ok=bool(np.all(d2 >= -PROFILE_TOL * scale)),
         dd_envelope_ok=bool(max(sups) <= envelope),
-        tol=tol,
+        tol=PROFILE_TOL,
         scale=scale,
     )
 
@@ -169,8 +172,6 @@ def uniqueness_experiment(
     cfg: SolverConfig | None = None,
     seed: int = 0,
     uniq_tol: float = 1e-7,
-    perturbation: float = 0.2,
-    dd_tol: float = 1e-9,
 ) -> UniquenessReport:
     """Solve from several initializations and compare the solutions found.
 
@@ -186,13 +187,13 @@ def uniqueness_experiment(
     base = harmonic_extension(boundary)
     inits = [base]
     for _ in range(init_count - 1):
-        bump = random_interior_values(boundary.grid, boundary.m, rng, amplitude=perturbation)
+        bump = random_interior_values(boundary.grid, boundary.m, rng, amplitude=INIT_PERTURBATION)
         inits.append(GridMap(grid=boundary.grid, values=base.values + bump))
     outcomes = tuple(solve_dirichlet(boundary, init=ini, cfg=cfg) for ini in inits)
     dd_flags = []
     for o in outcomes:
         sup = singular_spectrum(jacobian(o.solution)).sup_lambda_max("closure")
-        dd_flags.append(bool(o.converged and sup <= 1.0 + dd_tol))
+        dd_flags.append(bool(o.converged and sup <= 1.0 + DD_TOL))
     k = len(outcomes)
     dists = np.zeros((k, k))
     violations = []

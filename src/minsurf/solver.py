@@ -113,7 +113,7 @@ def harmonic_extension(boundary: GridMap) -> GridMap:
 def _newton_direction(f, report, w):
     """The Newton step on the exact area Hessian, or None if unusable."""
     grid = f.grid
-    hessian = colored_stencil_matrix(SecondVariationForm(f, warn=False, area=report))
+    hessian = colored_stencil_matrix(SecondVariationForm(f, warn=False))
     # residual is -grad/w, so H d = -grad reads H d = w * residual
     rhs = (w * report.residual)[grid.interior_mask].ravel()
     p = dissection_permutation(grid, f.m)

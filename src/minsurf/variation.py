@@ -12,6 +12,10 @@ and M = J^T B + B^T J (B the corner Jacobian of V) they read
 The second line is the stability quadratic form; its polarization gives a
 symmetric operator whose smallest eigenvalue in the quadrature-weighted
 inner product is the stability index.
+
+Both are exact at any map but measure stability only at a minimal one, which
+``criteria_report`` decides. ``warn=True`` adds a ``NotMinimalWarning`` from
+one residual sweep against ``DEFAULT_MINIMAL_TOL``; Newton and the CLI do not.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from ._stencils import _edge, cell_counts, corner_jacobians, corner_metrics, corner_offsets, corner_weight
 from ._stencils import scatter_corner_flux, small_matmul
-from .area import AreaReport, minimal_system_residual
+from .area import minimal_system_residual  # the name perfbench's span hook wraps
 from .assembly import dissection_permutation
 from .assembly import hessian_matrix as colored_stencil_matrix  # the name perfbench's span hook wraps
 from .errors import NotMinimalWarning
@@ -40,8 +44,6 @@ __all__ = [
     "EigenConfig",
     "SecondVariationForm",
     "first_variation",
-    "second_variation",
-    "hessian_apply",
     "stability_index",
 ]
 
@@ -87,31 +89,24 @@ class SecondVariationForm:
     Newton's method solves with it, and weighted by the nodewise metric
     <V, W> = sum_nodes w sqrt(det G) <V, W> it is the stability operator
     (:meth:`apply_values`, :meth:`assemble`), whose eigenproblem discretizes
-    the continuum one. ``area``, the residual report of f, is computed when
-    not given.
+    the continuum one. With ``warn``, one residual sweep warns if f is not
+    minimal to ``DEFAULT_MINIMAL_TOL``.
     """
 
-    def __init__(
-        self,
-        f: GridMap,
-        minimal_tol: float = DEFAULT_MINIMAL_TOL,
-        warn: bool = True,
-        area: AreaReport | None = None,
-    ):
+    def __init__(self, f: GridMap, warn: bool = True):
         self.f = f
         self.grid = f.grid
         self.m = f.m
-        if area is None:
-            area = minimal_system_residual(f)
-        self.base_residual_sup = area.residual_sup_norm
-        if warn and self.base_residual_sup > minimal_tol:
-            warnings.warn(
-                "second variation evaluated at a non-minimal map "
-                f"(residual sup {self.base_residual_sup:.3e} > {minimal_tol:.1e}); "
-                "values are diagnostic only",
-                NotMinimalWarning,
-                stacklevel=3,
-            )
+        if warn:
+            sup = minimal_system_residual(f).residual_sup_norm
+            if sup > DEFAULT_MINIMAL_TOL:
+                warnings.warn(
+                    "second variation evaluated at a non-minimal map "
+                    f"(residual sup {sup:.3e} > {DEFAULT_MINIMAL_TOL:.1e}); "
+                    "values are diagnostic only",
+                    NotMinimalWarning,
+                    stacklevel=3,
+                )
         self._J = corner_jacobians(f.values, self.grid)
         self._Ginv, self._sqrtg = corner_metrics(self._J)
         self._JGi = small_matmul(self._J, self._Ginv)
@@ -210,34 +205,13 @@ class SecondVariationForm:
         return S.tocsr(), B_diag
 
 
-def first_variation(f: GridMap, V: VariationField, warn: bool = False) -> float:
+def first_variation(f: GridMap, V: VariationField) -> float:
     """Derivative of the discrete area along the vertical variation V.
 
     Agrees with -sum_nodes w <residual, V> to round-off because the residual
     is the exact area gradient; vanishes on minimal graphs.
     """
-    form = SecondVariationForm(f, warn=warn)
-    return form.directional_derivative(V)
-
-
-def second_variation(
-    f: GridMap,
-    V: VariationField,
-    minimal_tol: float = DEFAULT_MINIMAL_TOL,
-    warn: bool = True,
-) -> float:
-    """Second derivative of the discrete area along the vertical variation V.
-
-    Warns when f is not minimal to tolerance: the value is still the exact
-    second t-derivative of the area along f + tV, but off the critical set it
-    no longer measures stability.
-    """
-    return SecondVariationForm(f, minimal_tol=minimal_tol, warn=warn).quadratic(V)
-
-
-def hessian_apply(f: GridMap, V: VariationField, warn: bool = False) -> VariationField:
-    """Stability operator applied to V in the weighted inner product."""
-    return SecondVariationForm(f, warn=warn).apply(V)
+    return SecondVariationForm(f, warn=False).directional_derivative(V)
 
 
 @dataclass(frozen=True)
@@ -345,23 +319,17 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig, 
     return theta, X[:, 0], history, converged, it, resid
 
 
-def stability_index(
-    f: GridMap,
-    cfg: EigenConfig | None = None,
-    minimal_tol: float = DEFAULT_MINIMAL_TOL,
-    warn: bool = True,
-    area: AreaReport | None = None,
-) -> StabilityReport:
+def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = True) -> StabilityReport:
     """Smallest eigenvalue of the second-variation form over interior variations.
 
     The verdict uses the band epsilon = 1e-8 * median weighted diagonal:
     stable above +epsilon, unstable below -epsilon, marginal in between. An
     eigen-solve that stops at its iteration cap yields no verdict: it reads
-    "undetermined" whatever the last Ritz value was. ``area``, the residual
-    report of f, is computed when not given.
+    "undetermined" whatever the last Ritz value was. ``warn`` is passed to
+    :class:`SecondVariationForm`.
     """
     cfg = cfg or EigenConfig()
-    form = SecondVariationForm(f, minimal_tol=minimal_tol, warn=warn, area=area)
+    form = SecondVariationForm(f, warn=warn)
     S, B_diag = form.assemble()
     perm = dissection_permutation(f.grid, f.m)
     theta, v, history, converged, iters, resid = _smallest_eigenpair(S, B_diag, cfg, perm)

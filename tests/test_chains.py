@@ -95,18 +95,6 @@ def test_chain_values_permutation_invariant(lam, C, perm):
         assert abs(a - b) <= 1e-11 * scale
 
 
-def test_dd_chain_row_slack_only_enlarges_E1(rng):
-    lam = rng.uniform(0, 1, 3)
-    C = rng.uniform(-1, 1, (3, 3))
-    base = dd_chain_terms(lam, C)
-    slack = rng.uniform(0, 2, 3)
-    with_slack = dd_chain_terms(lam, C, row_slack=slack)
-    assert with_slack[0] >= base[0]
-    assert with_slack[1] == base[1] and with_slack[2] == base[2]
-    with pytest.raises(ValueError):
-        dd_chain_terms(lam, C, row_slack=-slack)
-
-
 def test_eval_chain_rejects_nonfinite_pairings():
     C = np.full((2, 2), np.nan)
     with pytest.raises(ValueError):
@@ -201,10 +189,15 @@ def test_search_regime_validation():
         counterexample_search(SearchRegime(chain="distance_decreasing", n=2), budget=0)
 
 
+def test_distance_decreasing_regime_rejects_p():
+    with pytest.raises(ValueError, match="p applies to the rank chain only"):
+        SearchRegime(chain="distance_decreasing", n=2, p=5)
+
+
 def test_campaigns_do_not_depend_on_threads():
     for threads in (1, 2):
-        dd = run_dd_campaign(3, 120_000, seed=5, lam_high=1.5, threads=threads, chunk=50_000)
-        rank = run_rank_campaign(4, 3, 120_000, seed=6, threads=threads, chunk=50_000)
+        dd = run_dd_campaign(3, 120_000, seed=5, lam_high=1.5, threads=threads)
+        rank = run_rank_campaign(4, 3, 120_000, seed=6, threads=threads)
         if threads == 1:
             reference = (dd.summary(), rank.summary())
         else:
@@ -320,10 +313,8 @@ def test_regime_margin_of_projected_dd_seed(n):
     [
         (lambda: run_rank_campaign(3, 2, 0, seed=1), "need samples >= 1"),
         (lambda: run_dd_campaign(2, 0, seed=1), "need samples >= 1"),
-        (lambda: run_dd_campaign(2, 10, seed=1, chunk=0), "need chunk >= 1"),
-        (lambda: run_rank_campaign(3, 2, 10, seed=1, chunk=0), "need chunk >= 1"),
     ],
-    ids=["rank-no-samples", "dd-no-samples", "dd-chunk-0", "rank-chunk-0"],
+    ids=["rank-no-samples", "dd-no-samples"],
 )
 def test_campaigns_reject_empty_work(campaign, message):
     with pytest.raises(ValueError, match=message):

@@ -1,11 +1,12 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from minsurf import ConfigError, build_grid, save_map
+from minsurf import ConfigError, NotMinimalWarning, build_grid, save_map
 from minsurf.cli import main, run
 from minsurf.config import load_config, parse_config
 from minsurf.families import holomorphic_power_map
@@ -507,3 +508,75 @@ def test_validate_flat_eigenvalue_is_exact_on_coarse_grids(tmp_path, counts):
     assert code == 0, report["assertion_failures"]
     (flat,) = [c for c in report["results"]["checks"] if c["name"] == "flat_eigenvalue_rel_err"]
     assert flat["passed"] and flat["value"] <= 1e-8
+
+
+def test_oracle_tol_governs_searches(tmp_path):
+    # the analytic witness at lam_high 1.001 has margin -5.0e-4, inside oracle.tol
+    search = {"chain": "distance_decreasing", "n": 2, "lam_high": 1.001, "budget": 2000}
+    doc = {
+        "command": "oracle",
+        "output_dir": str(tmp_path / "out"),
+        "oracle": {"samples": 1000, "n_values": [2], "p_values": [2], "tol": 1e-2, "searches": [search]},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 0
+    (result,) = report["results"]["searches"]
+    assert -1e-2 < result["best_margin"] < 0
+    assert not result["found"]
+
+
+def test_eigen_solve_does_not_judge_minimality(tmp_path):
+    doc = {
+        "command": "analyze",
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [13, 13]},
+        "boundary": {"family": "holomorphic_power", "amplitude": 0.4, "power": 3},
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run(parse_config(doc))
+    assert code == 0
+    assert not report["results"]["criteria"]["minimal"]
+    assert report["results"]["stability"]["converged"]
+    assert not [w for w in caught if issubclass(w.category, NotMinimalWarning)]
+
+
+_GRID13 = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [13, 13]}
+_HOLO = {"family": "holomorphic_power", "amplitude": 0.3, "power": 3}
+_DETERMINISM = {
+    "solve": BASE_SOLVE,
+    "homotopy": {
+        "command": "homotopy",
+        "grid": _GRID13,
+        "homotopy": {
+            "f0": {**_HOLO, "solve": True},
+            "f1": {**_HOLO, "solve": True, "bump_amplitude": 0.05},
+            "t_count": 9,
+            "uniqueness_inits": 3,
+        },
+    },
+    "oracle": {
+        "command": "oracle",
+        "threads": 2,
+        "oracle": {"samples": 120_000, "n_values": [2, 3], "p_values": [2], "searches": _ORACLE_SET["searches"]},
+    },
+    "sweep": {
+        "command": "sweep",
+        "grid": _GRID13,
+        "sweep": {**_HOLO, "s_values": [0.3, 0.6], "stability": True},
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(_DETERMINISM))
+def test_reports_are_deterministic(tmp_path, command):
+    reports = []
+    for name in ("a", "b"):
+        code, _ = run(parse_config({**_DETERMINISM[command], "seed": 7, "output_dir": str(tmp_path / name)}))
+        assert code == 0
+        doc = json.loads((tmp_path / name / "report.json").read_text())
+        for volatile in ("timestamp", "timings"):
+            doc.pop(volatile)
+        doc["config"].pop("output_dir")
+        reports.append(json.dumps(doc, sort_keys=True))
+    assert reports[0] == reports[1]

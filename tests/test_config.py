@@ -308,6 +308,10 @@ BAD = {
         _with(HOMOTOPY, "homotopy", uniqueness_inits=-1),
         "homotopy.uniqueness_inits:",
     ),
+    "homotopy-inits-one": (
+        _with(HOMOTOPY, "homotopy", uniqueness_inits=1),
+        "homotopy: uniqueness_inits: 0 turns the experiment off",
+    ),
     "homotopy-positive": (_with(HOMOTOPY, "homotopy", uniq_tol=0), "homotopy.uniq_tol:"),
     "sweep-unknown": (_with(SWEEP, "sweep", solve=True), "sweep.solve:"),
     "sweep-type": (_with(SWEEP, "sweep", stability=1), "sweep.stability:"),
@@ -329,6 +333,7 @@ BAD = {
     "search-chain": (_search(chain="cycle"), "oracle.searches[0]"),
     "search-min": (_search(n=1), "oracle.searches[0].n:"),
     "search-p-min": (_search(chain="rank", n=3, p=1), "oracle.searches[0].p:"),
+    "search-dd-p": (_search(p=5), "oracle.searches[0]: p applies to the rank chain only"),
     "search-budget": (_search(budget=0), "oracle.searches[0].budget:"),
     "validate-unknown": (_with(ORACLE, "validate", seed=1), "validate.seed:"),
     "validate-type": (_with(ORACLE, "validate", counts=17), "validate.counts:"),

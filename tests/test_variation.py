@@ -12,9 +12,7 @@ from minsurf import (
     build_grid,
     discrete_area,
     first_variation,
-    hessian_apply,
     minimal_system_residual,
-    second_variation,
     solve_dirichlet,
     stability_index,
 )
@@ -86,7 +84,7 @@ def test_first_variation_equals_residual_pairing(unit_square, rng):
 def test_second_variation_flat_graph_is_dirichlet_energy(unit_square, rng):
     f = GridMap.constant(unit_square, [0.0])
     V = random_variation(unit_square, 1, rng)
-    q = second_variation(f, V, warn=False)
+    q = SecondVariationForm(f, warn=False).quadratic(V)
     assert q > 0.0
     # flat graph: the form reduces to the gradient energy of V
     best = min(abs(fd_second(f, V, s) - q) / q for s in (1e-3, 1e-4))
@@ -96,14 +94,14 @@ def test_second_variation_flat_graph_is_dirichlet_energy(unit_square, rng):
 def test_second_variation_zero_direction(unit_square):
     f = GridMap.constant(unit_square, [0.0, 0.0])
     V = VariationField(grid=unit_square, values=np.zeros(unit_square.counts + (2,)))
-    assert second_variation(f, V, warn=False) == 0.0
+    assert SecondVariationForm(f, warn=False).quadratic(V) == 0.0
 
 
 def test_second_variation_matches_fd_on_minimal_graph(unit_square, rng):
     out = solve_dirichlet(holomorphic_power_map(unit_square, 0.3, 3))
     assert out.converged
     V = random_variation(unit_square, 2, rng)
-    q = second_variation(out.solution, V)
+    q = SecondVariationForm(out.solution).quadratic(V)
     best = min(abs(fd_second(out.solution, V, s) - q) / abs(q) for s in (1e-3, 3e-4))
     assert best <= 1e-5
 
@@ -112,7 +110,27 @@ def test_second_variation_warns_off_critical_set(unit_square, rng):
     f = random_smooth_map(unit_square, 2, rng, amplitude=0.5)
     V = random_variation(unit_square, 2, rng)
     with pytest.warns(NotMinimalWarning):
-        second_variation(f, V)
+        SecondVariationForm(f).quadratic(V)
+
+
+def test_minimality_is_checked_only_when_asked(unit_square, rng, monkeypatch):
+    import minsurf.variation
+
+    calls = []
+    original = minsurf.variation.minimal_system_residual
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(minsurf.variation, "minimal_system_residual", counting)
+    f = random_smooth_map(unit_square, 2, rng, amplitude=0.5)
+    SecondVariationForm(f, warn=False)
+    stability_index(f, EigenConfig(max_iters=2), warn=False)
+    assert calls == []
+    with pytest.warns(NotMinimalWarning):
+        SecondVariationForm(f)
+    assert len(calls) == 1
 
 
 def test_second_variation_scaling_quadratic(unit_square, rng):
@@ -139,7 +157,7 @@ def test_second_variation_target_rotation_invariant(unit_square, rng):
 def test_hessian_zero_direction(unit_square):
     f = GridMap.constant(unit_square, [0.0, 0.0])
     V = VariationField(grid=unit_square, values=np.zeros(unit_square.counts + (2,)))
-    HV = hessian_apply(f, V)
+    HV = SecondVariationForm(f, warn=False).apply(V)
     assert np.abs(HV.values).max() == 0.0
 
 
