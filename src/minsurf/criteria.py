@@ -61,7 +61,7 @@ def distance_decreasing_verdict(
     The closure supremum is reported alongside since boundary stencils are
     one-sided and slightly less accurate.
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError("tol must be nonnegative")
     sup = S.sup_lambda_max("interior")
     if sup < 1.0 - tol:
@@ -109,28 +109,18 @@ def two_jacobian_verdict(
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
+    if not tol >= 0:  # NaN too
+        raise ValueError("tol must be nonnegative")
     sup = S.sup_two_jacobian("interior")
-    sup_closure = S.sup_two_jacobian("closure")
-    if p <= 1:
-        return TwoJacobianVerdict(
-            verdict=TJ_PASSES,
-            sup_two_jacobian=sup,
-            sup_two_jacobian_closure=sup_closure,
-            p=p,
-            rank_bound=None,
-            tol=tol,
-            vacuous=True,
-        )
-    bound = 1.0 / (p - 1)
-    verdict = TJ_PASSES if sup <= bound + tol else TJ_FAILS
+    bound = 1.0 / (p - 1) if p > 1 else None
     return TwoJacobianVerdict(
-        verdict=verdict,
+        verdict=TJ_PASSES if bound is None or sup <= bound + tol else TJ_FAILS,
         sup_two_jacobian=sup,
-        sup_two_jacobian_closure=sup_closure,
+        sup_two_jacobian_closure=S.sup_two_jacobian("closure"),
         p=p,
         rank_bound=bound,
         tol=tol,
-        vacuous=False,
+        vacuous=bound is None,
     )
 
 
@@ -225,12 +215,7 @@ def criteria_report(
     if determined and minimal and theta < -eps:
         dd_solid = dd.verdict == DD_STRICT and dd.strict_margin > CROSSCHECK_MARGIN
         dd_solid = dd_solid and (1.0 - S.sup_lambda_max("closure")) > CROSSCHECK_MARGIN
-        tj_solid = tj.vacuous or (
-            tj.verdict == TJ_PASSES
-            and tj.rank_bound is not None
-            and tj.sup_two_jacobian <= tj.rank_bound * (1.0 - CROSSCHECK_MARGIN)
-        )
-        tj_solid = tj_solid and tj.verdict == TJ_PASSES
+        tj_solid = tj.vacuous or tj.sup_two_jacobian <= tj.rank_bound * (1.0 - CROSSCHECK_MARGIN)
         if dd_solid or tj_solid:
             raise ContradictionDetected(
                 "a stability criterion holds with margin but the stability index is "

@@ -82,6 +82,19 @@ def _as_values(V: VariationField | np.ndarray) -> np.ndarray:
     return V.values if isinstance(V, VariationField) else np.asarray(V, dtype=float)
 
 
+def _warn_if_not_minimal(f: GridMap) -> None:
+    """One residual sweep; a ``NotMinimalWarning`` names the line that called our caller."""
+    sup = minimal_system_residual(f).residual_sup_norm
+    if sup > DEFAULT_MINIMAL_TOL:
+        warnings.warn(
+            "second variation evaluated at a non-minimal map "
+            f"(residual sup {sup:.3e} > {DEFAULT_MINIMAL_TOL:.1e}); "
+            "values are diagnostic only",
+            NotMinimalWarning,
+            stacklevel=3,
+        )
+
+
 class SecondVariationForm:
     """Precomputed second-variation machinery at a fixed base map.
 
@@ -98,15 +111,7 @@ class SecondVariationForm:
         self.grid = f.grid
         self.m = f.m
         if warn:
-            sup = minimal_system_residual(f).residual_sup_norm
-            if sup > DEFAULT_MINIMAL_TOL:
-                warnings.warn(
-                    "second variation evaluated at a non-minimal map "
-                    f"(residual sup {sup:.3e} > {DEFAULT_MINIMAL_TOL:.1e}); "
-                    "values are diagnostic only",
-                    NotMinimalWarning,
-                    stacklevel=3,
-                )
+            _warn_if_not_minimal(f)
         self._J = corner_jacobians(f.values, self.grid)
         self._Ginv, self._sqrtg = corner_metrics(self._J)
         self._JGi = small_matmul(self._J, self._Ginv)
@@ -325,11 +330,13 @@ def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = Tru
     The verdict uses the band epsilon = 1e-8 * median weighted diagonal:
     stable above +epsilon, unstable below -epsilon, marginal in between. An
     eigen-solve that stops at its iteration cap yields no verdict: it reads
-    "undetermined" whatever the last Ritz value was. ``warn`` is passed to
-    :class:`SecondVariationForm`.
+    "undetermined" whatever the last Ritz value was. With ``warn``, one
+    residual sweep warns if f is not minimal, as :class:`SecondVariationForm` does.
     """
     cfg = cfg or EigenConfig()
-    form = SecondVariationForm(f, warn=warn)
+    if warn:
+        _warn_if_not_minimal(f)
+    form = SecondVariationForm(f, warn=False)
     S, B_diag = form.assemble()
     perm = dissection_permutation(f.grid, f.m)
     theta, v, history, converged, iters, resid = _smallest_eigenpair(S, B_diag, cfg, perm)

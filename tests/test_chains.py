@@ -13,7 +13,13 @@ from minsurf import (
     run_dd_campaign,
     run_rank_campaign,
 )
-from minsurf.chains import chain_scale, dd_chain_terms, rank_chain_terms
+from minsurf.chains import (
+    SAMPLE_CHUNK,
+    _analytic_seeds,
+    chain_scale,
+    dd_chain_terms,
+    rank_chain_terms,
+)
 
 
 def test_dd_chain_zero_pairings():
@@ -125,7 +131,23 @@ def test_dd_campaign_inside_hypotheses(n):
 def test_rank_campaign_inside_hypotheses(n, p):
     rep = run_rank_campaign(n, p, 30_000, seed=77)
     assert rep.passed
+    assert rep.identity_max_defect <= 1e-12
     assert all(v >= -1e-12 for v in rep.worst_margins.values())
+
+
+def test_rank_campaign_fails_on_a_positive_identity_defect(monkeypatch):
+    import minsurf.chains
+
+    original = minsurf.chains.rank_chain_terms
+
+    def skewed(lam, C, p):
+        F0, Fd, Fo, Fl = original(lam, C, p)
+        return F0 + 1e-6 * chain_scale(C), Fd, Fo, Fl
+
+    monkeypatch.setattr(minsurf.chains, "rank_chain_terms", skewed)
+    rep = run_rank_campaign(3, 2, 10_000, seed=77)
+    assert rep.identity_max_defect == pytest.approx(1e-6, rel=1e-6)
+    assert not rep.passed
 
 
 @pytest.mark.parametrize(
@@ -204,7 +226,8 @@ def test_campaigns_do_not_depend_on_threads():
             assert (dd.summary(), rank.summary()) == reference
 
 
-def test_cli_import_leaves_optimizer_unloaded():
+def _optimizer_loaded_after(code):
+    """Whether running ``code`` in a fresh interpreter imports scipy.optimize."""
     import subprocess
     import sys
     from pathlib import Path
@@ -212,15 +235,50 @@ def test_cli_import_leaves_optimizer_unloaded():
     import minsurf
 
     src = str(Path(minsurf.__file__).resolve().parent.parent)
-    code = "import sys, minsurf.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code + "\nimport sys; print('scipy.optimize' in sys.modules)"],
         env={"PYTHONPATH": src, "PATH": ""},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()[-1] == "True"
+
+
+def test_cli_import_leaves_optimizer_unloaded():
+    assert not _optimizer_loaded_after("import minsurf.cli")
+
+
+def test_found_search_leaves_optimizer_unloaded():
+    code = (
+        "from minsurf.chains import SearchRegime, counterexample_search\n"
+        "regime = SearchRegime(chain='distance_decreasing', n=2, lam_high=2.0)\n"
+        "assert counterexample_search(regime, budget=1_000, seed=3).found"
+    )
+    assert not _optimizer_loaded_after(code)
+
+
+@pytest.mark.parametrize(
+    "regime, seed",
+    [
+        (SearchRegime(chain="rank", n=3, p=2, lam_high=1.5, cap_products=False), 29),
+        (SearchRegime(chain="distance_decreasing", n=3, lam_low=0.5, lam_high=1.2), 5),
+    ],
+    ids=["rank", "distance_decreasing"],
+)
+def test_found_search_reports_its_best_seeded_or_sampled_point(regime, seed):
+    budget = SAMPLE_CHUNK + 1_000
+    rep = counterexample_search(regime, budget=budget, seed=seed)
+    assert rep.found
+    rng = np.random.default_rng(seed)
+    batches = [_analytic_seeds(regime)]
+    batches += [regime.sample(rng, size) for size in (SAMPLE_CHUNK, 1_000)]
+    lam, C = (np.concatenate(parts) for parts in zip(*batches))
+    margins = regime.margin(lam, C)
+    k = int(np.argmin(margins))
+    assert rep.best_margin == margins[k]
+    assert rep.best_lambda == tuple(lam[k]) and rep.best_C == tuple(map(tuple, C[k]))
+    assert rep.samples_evaluated == len(batches[0][0]) + budget
 
 
 @st.composite
@@ -261,23 +319,16 @@ def test_regime_samples_stay_in_the_box(regime, seed):
     _assert_in_box(regime, lam, C)
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@given(
-    regime=search_regimes(),
-    lam=hnp.arrays(np.float64, (3, 4), elements=_FINITE),
-    C=hnp.arrays(np.float64, (3, 4, 4), elements=_FINITE),
-)
+@given(regime=search_regimes())
+@example(regime=SearchRegime(chain="rank", n=4, p=2, lam_low=0.95, lam_high=1.5, cap_products=False))
+@example(regime=SearchRegime(chain="distance_decreasing", n=3, lam_low=2.5, lam_high=3.0))
 @settings(max_examples=200, deadline=None)
-def test_regime_projection_lands_in_the_box_row_by_row(regime, lam, C):
-    n = regime.n
-    lam, C = lam[:, :n], C[:, :n, :n]
-    batch = regime.project(lam, C)
-    _assert_in_box(regime, *batch)
-    for k in range(len(lam)):
-        lam_k, C_k = regime.project(lam[k], C[k])
-        assert np.array_equal(lam_k, batch[0][k]) and np.array_equal(C_k, batch[1][k])
+def test_analytic_seeds_lie_in_the_box(regime):
+    lam, C = _analytic_seeds(regime)
+    assert len(lam) == (0 if regime.in_hypothesis else 1)
+    _assert_in_box(regime, lam, C)
+    if regime.chain == "distance_decreasing":
+        assert np.all(lam >= regime.lam_low)
 
 
 _DD = "distance_decreasing"
@@ -300,12 +351,13 @@ def test_regime_in_hypothesis_is_the_theorem_box(regime):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_regime_margin_of_projected_dd_seed(n):
+    # the seed (2, 0, ...) already lies in the box, so it needs no projection
     regime = SearchRegime(chain="distance_decreasing", n=n, lam_high=2.0)
-    lam = np.zeros(n)
-    lam[0] = 2.0
-    C = np.zeros((n, n))
-    C[1, 0] = 1.0
-    assert abs(regime.margin(*regime.project(lam, C)) + 0.3) <= 1e-15
+    lam, C = _analytic_seeds(regime)
+    expected_lam = np.zeros((1, n))
+    expected_lam[0, 0] = 2.0
+    assert np.array_equal(lam, expected_lam)
+    assert abs(regime.margin(lam, C)[0] + 0.3) <= 1e-15
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,18 @@ def test_two_jacobian_rejects_negative_p(unit_square):
         two_jacobian_verdict(S, -1)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+@pytest.mark.parametrize(
+    "verdict",
+    [distance_decreasing_verdict, lambda S, tol: two_jacobian_verdict(S, 2, tol)],
+    ids=["dd", "tj"],
+)
+def test_verdicts_reject_negative_or_nan_tol(unit_square, verdict, tol):
+    S = spectrum_of(GridMap.constant(unit_square, [0.0]))
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        verdict(S, tol=tol)
+
+
 def test_criteria_report_affine_dd(unit_square):
     f = affine_map(unit_square, [[0.3, 0.1], [0.0, 0.2]])
     st = stability_index(f, warn=False)

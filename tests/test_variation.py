@@ -113,6 +113,22 @@ def test_second_variation_warns_off_critical_set(unit_square, rng):
         SecondVariationForm(f).quadratic(V)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f: SecondVariationForm(f),
+        lambda f: stability_index(f, EigenConfig(max_iters=2)),
+    ],
+    ids=["form", "stability_index"],
+)
+def test_not_minimal_warning_names_the_calling_line(unit_square, rng, build):
+    f = random_smooth_map(unit_square, 2, rng, amplitude=0.5)
+    with pytest.warns(NotMinimalWarning) as caught:
+        build(f)
+    (w,) = [w for w in caught if issubclass(w.category, NotMinimalWarning)]
+    assert (w.filename, w.lineno) == (build.__code__.co_filename, build.__code__.co_firstlineno)
+
+
 def test_minimality_is_checked_only_when_asked(unit_square, rng, monkeypatch):
     import minsurf.variation
 
