@@ -62,13 +62,12 @@ def _sample_endpoint(spec: MapSpec, grid, cfg: RunConfig, rng) -> GridMap:
 
 
 def _stability(f: GridMap, cfg: RunConfig, failures: list, where: str = ""):
-    """Stability index of f, not judging minimality; an unconverged eigen-solve is a failure."""
+    """Stability index of f, not judging minimality; an undetermined verdict is a failure."""
     st = stability_index(f, cfg.stability, warn=False)
     if st.verdict == "undetermined":
-        failures.append(
-            f"{where}eigen-solve did not converge in {st.iterations} iterations "
-            f"(residual {st.eigen_residual:.3e}); stability undetermined"
-        )
+        detail = f"in {st.iterations} iterations (residual {st.eigen_residual:.3e})"
+        reason = "eigenvalue count not certified" if st.converged else f"eigen-solve did not converge {detail}"
+        failures.append(f"{where}{reason}; stability undetermined")
     return st
 
 
@@ -289,6 +288,7 @@ def _cmd_validate(cfg: RunConfig, results: dict, failures: list, fields: dict) -
     check("chain_E1_minus_E2_min", dd.worst_margins["min_E1_minus_E2"], -1e-12, larger_is_bad=False)
     check("chain_E3_min", dd.worst_margins["min_E3"], -1e-12, larger_is_bad=False)
     rank = run_rank_campaign(3, 2, spec.oracle_samples, seed=cfg.seed + 1, threads=cfg.threads)
+    check("rank_chain_identity_F0_split", rank.identity_max_defect, 1e-12)
     check(
         "rank_chain_min_margin",
         min(rank.worst_margins.values()),

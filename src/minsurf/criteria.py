@@ -178,7 +178,8 @@ def criteria_report(
     combination can only mean an implementation bug. The cross-check demands
     a relative margin on the criterion so that discretization error near the
     sharp thresholds cannot trigger false alarms, and is skipped when the
-    stability verdict is "undetermined" (the eigen-solve did not converge).
+    stability verdict is "undetermined" (the eigen-solve did not converge, or
+    its count of eigenvalues below -epsilon is not certified).
     ``area``, the residual report of f, is computed when not given.
     """
     if S is None:
@@ -211,7 +212,8 @@ def criteria_report(
     eps = stability.epsilon if stability is not None else None
     determined = stability is not None and stability.verdict != "undetermined"
     if stability is not None and not determined:
-        notes.append("stability index undetermined: eigen-solve did not converge")
+        reason = "eigenvalue count not certified" if stability.converged else "eigen-solve did not converge"
+        notes.append(f"stability index undetermined: {reason}")
     if determined and minimal and theta < -eps:
         dd_solid = dd.verdict == DD_STRICT and dd.strict_margin > CROSSCHECK_MARGIN
         dd_solid = dd_solid and (1.0 - S.sup_lambda_max("closure")) > CROSSCHECK_MARGIN

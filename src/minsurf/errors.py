@@ -10,7 +10,7 @@ class BoundaryMismatch(ValueError):
 
 
 class ContradictionDetected(RuntimeError):
-    """A verified stability criterion coexists with a negative stability index.
+    """A verified stability criterion or inertia count contradicts the stability index.
 
     This combination can only come from an implementation defect, so it is
     surfaced as a hard error instead of being recorded as a finding.

@@ -34,7 +34,7 @@ from ._stencils import scatter_corner_flux, small_matmul
 from .area import minimal_system_residual  # the name perfbench's span hook wraps
 from .assembly import dissection_permutation
 from .assembly import hessian_matrix as colored_stencil_matrix  # the name perfbench's span hook wraps
-from .errors import NotMinimalWarning
+from .errors import ContradictionDetected, NotMinimalWarning
 from .grid import GridMap, induced_metric
 from .report import Summarized
 
@@ -177,10 +177,7 @@ class SecondVariationForm:
         n, m, h = self.grid.n, self.m, self.grid.spacings
         cells = cell_counts(self.grid)
         blocks = np.zeros((3**n, m, m) + self.grid.counts)
-        for b, j in itertools.product(range(m), range(n)):
-            unit = np.zeros((m, n) + (1,) * (n + 1))
-            unit[b, j] = 1.0
-            column = self._flux(unit)  # entries (a, i) of K_c E_bj
+        for (b, j), column in zip(itertools.product(range(m), range(n)), self._hessian_columns()):
             for c, nu in enumerate(corner_offsets(n)):
                 for i in range(n):
                     k_ij = (self._wc / (h[i] * h[j])) * column[:, i, c]
@@ -190,6 +187,20 @@ class SecondVariationForm:
                         target = blocks[k, :, b][_edge(cells, nu, i, s)]
                         (np.add if s == t else np.subtract)(target, k_ij, out=target)
         return blocks
+
+    def _hessian_columns(self):
+        """K_c E_bj for each unit corner field E_bj in (b, j) order, entries (a, i) per corner."""
+        mn, n = self.m * self.grid.n, self.grid.n
+        return (self._flux(unit) for unit in np.eye(mn).reshape((mn, self.m, n) + (1,) * (n + 1)))
+
+    def corners_convex(self) -> bool:
+        """Whether every corner Hessian K_c is positive definite, which makes H positive semidefinite."""
+        K = np.stack([col.reshape(self.m * self.grid.n, -1).T for col in self._hessian_columns()], axis=-1)
+        try:
+            np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     def apply_values(self, Vvals: np.ndarray) -> np.ndarray:
         """H V / w as a nodal array; <W, HV>_w equals the polarized quadratic form."""
@@ -206,7 +217,6 @@ class SecondVariationForm:
         """Hessian over interior dofs and the weights B: S v = theta B v is the stability pencil."""
         S = colored_stencil_matrix(self)
         B_diag = np.repeat(self._node_weight[self._interior], self.m)
-        S = (S + S.T) * 0.5
         return S.tocsr(), B_diag
 
 
@@ -237,17 +247,12 @@ class StabilityReport(Summarized):
     min_eigenvalue: float
     eigenvector: VariationField
     rayleigh_history: tuple[float, ...]
-    verdict: str  # stable / marginal / unstable, or undetermined when not converged
+    verdict: str  # stable / marginal / unstable, or undetermined
+    morse_index: int | None  # number of eigenvalues below -epsilon; None when undetermined
     epsilon: float
     converged: bool
     iterations: int
     eigen_residual: float
-
-    def summary(self) -> dict:
-        # only the sign of the bottom eigenvalue is computed, so the unstable
-        # count is reported as a bound
-        bound = {"unstable": "at least 1", "undetermined": None}.get(self.verdict, "0")
-        return super().summary() | {"morse_index_bound": bound}
 
 
 def _gershgorin_lower_bound(S: sp.csr_matrix, B_diag: np.ndarray) -> float:
@@ -260,89 +265,102 @@ def _gershgorin_lower_bound(S: sp.csr_matrix, B_diag: np.ndarray) -> float:
     return float(np.min(centers - radii))
 
 
-def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, cfg: EigenConfig, perm: np.ndarray):
-    """Block shifted inverse iteration on the pencil S v = theta B v.
+def _factor(S: sp.csr_matrix, B_diag: np.ndarray, sigma: float, definite: bool = False):
+    """LU of S - sigma B with its count of negative pivots.
 
-    The initial shift sits below the Gershgorin lower bound of the weighted
-    pencil, keeping S - sigma B positive definite. A small block with
-    Rayleigh-Ritz extraction handles clustered bottom eigenvalues (the flat
-    operator carries one copy of the spectrum per target component); once
-    the smallest Ritz value settles, the shift is moved next to it so the
-    final convergence is fast even when the Gershgorin bound is far away.
-    Each S - sigma B is factored in the dof order ``perm``.
+    Without row exchanges the symmetric factorization is U = D L^T, so by
+    Sylvester's law of inertia the negative pivots count the eigenvalues of the
+    pencil below sigma. The count is None (sigma may be an eigenvalue) when rows
+    were exchanged or a pivot is zero, non-finite or round-off small. For a
+    ``definite`` S - sigma B it is 0 without reading the pivots, which SuperLU
+    hands out only as copies of both factors, more memory than the LU itself.
     """
-    size = B_diag.shape[0]
-    block = min(4, size)
+    A = (S - sigma * sp.diags(B_diag)).tocsc()
+    try:
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot
+        return None, None
+    if definite:
+        return lu, 0
+    pivots = lu.U.diagonal()
+    scale = np.max(np.abs(S.diagonal()) + abs(sigma) * B_diag)
+    # round-off small: below 1e-11 of the largest diagonal entry of |S| + |sigma| B; NaN fails too
+    certified = np.array_equal(lu.perm_r, lu.perm_c) and np.min(np.abs(pivots)) > 1e-11 * scale
+    return lu, int(np.count_nonzero(pivots < 0)) if certified else None
+
+
+def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, epsilon: float, cfg: EigenConfig, convex: bool):
+    """Block inverse iteration on the pencil S v = theta B v at one certified, fixed shift.
+
+    The count k of eigenvalues below -epsilon (the Morse index, None when not
+    certified) comes from factoring S + epsilon B; it is 0 without a count when
+    every corner Hessian is positive definite (``convex``), since then S is
+    positive semidefinite. With k = 0 the iteration runs on that LU; otherwise
+    the shift is bisected on inertia between a Gershgorin lower bound and
+    -epsilon until a shift with no eigenvalue below it lies within
+    0.1 (1 + |sigma|) of one with some, and runs on its LU. A small block with
+    Rayleigh-Ritz extraction handles clustered bottom eigenvalues (the flat
+    operator has one copy of the spectrum per target component).
+    """
     sb = np.sqrt(B_diag)
-    lower = _gershgorin_lower_bound(S, B_diag)
-    sigma = lower - 1e-2 * (abs(lower) + 1.0)
-    B = sp.diags(B_diag)
-    inverse = np.argsort(perm)
-
-    def shifted_solver(shift):
-        lu = spla.splu((S - shift * B)[perm][:, perm].tocsc(), permc_spec="NATURAL")
-        return lambda Y: lu.solve(Y[perm])[inverse]
-
-    solve = shifted_solver(sigma)
-    rng = np.random.default_rng(cfg.seed)
-    X = rng.standard_normal((size, block))
-
-    def b_orthonormalize(Y):
-        Q, _ = np.linalg.qr(sb[:, None] * Y)
-        return Q / sb[:, None]
-
-    X = b_orthonormalize(X)
+    lu, morse = _factor(S, B_diag, -epsilon, definite=convex)
+    if morse != 0:
+        lower = _gershgorin_lower_bound(S, B_diag)
+        lo, hi = lower - 1e-2 * (abs(lower) + 1.0), -epsilon
+        while True:
+            sigma = 0.5 * (lo + hi)
+            lu, count = _factor(S, B_diag, sigma)
+            if count != 0:
+                hi = sigma
+            elif hi - sigma <= 0.1 * (1.0 + abs(sigma)):
+                break
+            else:
+                lo = sigma
+    X = np.random.default_rng(cfg.seed).standard_normal((sb.size, min(4, sb.size)))
     history: list[float] = []
-    theta = np.inf
-    converged = False
-    resid = np.inf
-    refactors = 0
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        X = b_orthonormalize(solve(B_diag[:, None] * X))
+    for it in range(1, cfg.max_iters + 1):  # max_iters >= 1 sets theta, resid and it
+        Q, _ = np.linalg.qr(sb[:, None] * lu.solve(B_diag[:, None] * X))
+        X = Q / sb[:, None]  # B-orthonormal
         SX = S.dot(X)
         ritz_vals, U = np.linalg.eigh(X.T @ SX)
-        X = X @ U
-        SX = SX @ U
-        theta = float(ritz_vals[0])
+        X, theta = X @ U, float(ritz_vals[0])
         history.append(theta)
-        r = SX[:, 0] - theta * (B_diag * X[:, 0])
+        r = SX @ U[:, 0] - theta * (B_diag * X[:, 0])
         resid = float(np.sqrt(np.sum(r * r / B_diag)))
         # absolute residual contract in the weighted norm, ||v||_B = 1
         if resid <= cfg.tol:
-            converged = True
             break
-        settled = len(history) >= 4 and abs(history[-1] - history[-2]) <= 1e-3 * (
-            1.0 + abs(theta)
-        )
-        if settled and refactors < 3 and theta - sigma > 0.3 * (abs(theta) + 1.0):
-            gap = float(ritz_vals[-1] - ritz_vals[0]) if block > 1 else abs(theta)
-            sigma = theta - max(0.05 * gap, 1e-3 * (1.0 + abs(theta)))
-            del solve  # free the old factorization before the new one is built
-            solve = shifted_solver(sigma)
-            refactors += 1
-    return theta, X[:, 0], history, converged, it, resid
+    return theta, X[:, 0], history, resid <= cfg.tol, it, resid, morse
 
 
 def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = True) -> StabilityReport:
     """Smallest eigenvalue of the second-variation form over interior variations.
 
     The verdict uses the band epsilon = 1e-8 * median weighted diagonal:
-    stable above +epsilon, unstable below -epsilon, marginal in between. An
-    eigen-solve that stops at its iteration cap yields no verdict: it reads
-    "undetermined" whatever the last Ritz value was. With ``warn``, one
-    residual sweep warns if f is not minimal, as :class:`SecondVariationForm` does.
+    stable above +epsilon, unstable below -epsilon, marginal in between. The
+    Morse index is 0 when every corner Hessian is positive definite and is
+    counted by inertia at -epsilon otherwise. The verdict is "undetermined",
+    with no Morse index, when the eigen-solve stops at its iteration cap or
+    the count is not certified; a Morse index that disagrees with the
+    converged eigenvalue raises ContradictionDetected.
+    With ``warn``, one residual sweep warns if f is not minimal.
     """
     cfg = cfg or EigenConfig()
     if warn:
         _warn_if_not_minimal(f)
     form = SecondVariationForm(f, warn=False)
+    convex = form.corners_convex()
     S, B_diag = form.assemble()
     perm = dissection_permutation(f.grid, f.m)
-    theta, v, history, converged, iters, resid = _smallest_eigenpair(S, B_diag, cfg, perm)
+    S, B_diag = S[perm][:, perm], B_diag[perm]  # every LU factors in the dissection order
     epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B_diag)))
-    if not converged:
-        verdict = "undetermined"
+    theta, v, history, converged, iters, resid, morse = _smallest_eigenpair(S, B_diag, epsilon, cfg, convex)
+    if converged and morse is not None and (theta < -epsilon) != (morse > 0):
+        raise ContradictionDetected(
+            f"stability eigenvalue {theta:.6e} contradicts {morse} eigenvalues counted below {-epsilon:.3e}"
+        )
+    if not converged or morse is None:
+        verdict, morse = "undetermined", None
     elif theta > epsilon:
         verdict = "stable"
     elif theta < -epsilon:
@@ -350,12 +368,13 @@ def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = Tru
     else:
         verdict = "marginal"
     vec = np.zeros(f.grid.counts + (f.m,))
-    vec[f.grid.interior_mask] = v.reshape(-1, f.m)
+    vec[f.grid.interior_mask] = v[np.argsort(perm)].reshape(-1, f.m)
     return StabilityReport(
         min_eigenvalue=theta,
         eigenvector=VariationField(grid=f.grid, values=vec),
         rayleigh_history=tuple(history),
         verdict=verdict,
+        morse_index=morse,
         epsilon=epsilon,
         converged=converged,
         iterations=iters,

@@ -510,6 +510,28 @@ def test_validate_flat_eigenvalue_is_exact_on_coarse_grids(tmp_path, counts):
     assert flat["passed"] and flat["value"] <= 1e-8
 
 
+def test_validate_fails_on_a_rank_identity_defect(tmp_path, monkeypatch):
+    import minsurf.chains
+    from minsurf.chains import chain_scale
+
+    original = minsurf.chains.rank_chain_terms
+
+    def skewed(lam, C, p):
+        F0, Fd, Fo, Fl = original(lam, C, p)
+        return F0 + 1e-6 * chain_scale(C), Fd, Fo, Fl
+
+    monkeypatch.setattr(minsurf.chains, "rank_chain_terms", skewed)
+    doc = {
+        "command": "validate",
+        "output_dir": str(tmp_path / "out"),
+        "validate": {"counts": [5, 5], "oracle_samples": 200},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 1
+    (row,) = [c for c in report["results"]["checks"] if c["name"] == "rank_chain_identity_F0_split"]
+    assert not row["passed"] and row["value"] == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_oracle_tol_governs_searches(tmp_path):
     # the analytic witness at lam_high 1.001 has margin -5.0e-4, inside oracle.tol
     search = {"chain": "distance_decreasing", "n": 2, "lam_high": 1.001, "budget": 2000}

@@ -166,6 +166,7 @@ def test_contradiction_detected_on_inconsistent_inputs(unit_square):
         ),
         rayleigh_history=(-1.0,),
         verdict="unstable",
+        morse_index=1,
         epsilon=1e-8,
         converged=True,
         iterations=1,

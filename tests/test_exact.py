@@ -63,6 +63,20 @@ def test_flat_stability_index_is_closed_form(counts, extents, m):
     assert abs(rep.min_eigenvalue - expected) <= 1e-10 * expected
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("counts,extents", BOXES)
+def test_flat_pencil_inertia_at_its_bottom_eigenvalue(counts, extents, m):
+    # the count is withheld at the eigenvalue itself and is exact 0.1 % either side,
+    # where the bottom eigenvalue's m copies (one per target component) lie below
+    grid = build_grid(len(counts), extents, counts)
+    S, B_diag = minsurf.variation.SecondVariationForm(GridMap.constant(grid, [0.0] * m)).assemble()
+    bottom = sum(
+        (2.0 - 2.0 * np.cos(np.pi / (c - 1))) / h**2 for c, h in zip(grid.counts, grid.spacings)
+    )
+    shifts = bottom * np.array([0.999, 1.0, 1.001])
+    assert [minsurf.variation._factor(S, B_diag, s)[1] for s in shifts] == [0, None, m]
+
+
 def test_newton_builds_no_nodal_metric(monkeypatch):
     calls = []
     real = minsurf.variation.induced_metric

@@ -54,7 +54,7 @@ CASES = {
     StabilityReport: (
         lambda: stability_index(solve_dirichlet(_boundary()).solution, warn=False),
         {"eigenvector"},
-        {"morse_index_bound"},
+        set(),
     ),
     CampaignReport: (lambda: run_dd_campaign(2, 200, seed=1), set(), set()),
     HomotopyProfile: (lambda: area_profile(_homotopy()), set(), set()),
@@ -112,7 +112,7 @@ _SPECTRUM = [
 ]
 _STABILITY = [
     "converged", "eigen_residual", "epsilon", "iterations", "min_eigenvalue",
-    "morse_index_bound", "rayleigh_history", "verdict",
+    "morse_index", "rayleigh_history", "verdict",
 ]
 _PROFILE = [
     "areas", "convexity_ok", "dd_envelope_ok", "endpoint_derivatives", "scale",

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minsurf import (
+    ContradictionDetected,
     EigenConfig,
     GridMap,
     NotMinimalWarning,
@@ -237,6 +241,84 @@ def test_stability_index_matches_arpack(unit_square):
     assert rep.min_eigenvalue == pytest.approx(theta_arpack, rel=1e-7)
 
 
+def dense_pencil_spectrum(f):
+    S, B = SecondVariationForm(f, warn=False).assemble()
+    return scipy.linalg.eigh(S.toarray(), np.diag(B), eigvals_only=True)
+
+
+def solved_holomorphic(nodes, amplitude):
+    grid = build_grid(2, [(0, 1), (0, 1)], (nodes, nodes))
+    out = solve_dirichlet(holomorphic_power_map(grid, amplitude, 3))
+    assert out.converged
+    return out.solution
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: solved_holomorphic(13, 5.0),
+        lambda: solved_holomorphic(17, 6.0),
+        lambda: solved_holomorphic(21, 4.5),
+        lambda: random_smooth_map(
+            build_grid(2, [(0, 1), (0, 1)], (15, 15)), 2, np.random.default_rng(2), amplitude=3.0
+        ),
+    ],
+    ids=["holomorphic-13-5", "holomorphic-17-6", "holomorphic-21-4.5", "indefinite"],
+)
+def test_stability_index_matches_dense_eigh(build):
+    # the solved maps pack near-double eigenvalues close to zero (17^2, s = 6:
+    # 0.0193, 0.0194, 0.0397, 0.0398, ...); the random map has ten below zero
+    f = build()
+    spectrum = dense_pencil_spectrum(f)
+    rep = stability_index(f, warn=False)
+    assert rep.converged
+    assert abs(rep.min_eigenvalue - spectrum[0]) <= 1e-10 * abs(spectrum[0])
+    assert rep.morse_index == np.count_nonzero(spectrum < -rep.epsilon)
+
+
+@given(
+    counts=st.lists(st.integers(3, 7), min_size=1, max_size=3),
+    m=st.integers(1, 3),
+    amplitude=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_morse_index_is_the_dense_count_below_epsilon(counts, m, amplitude, seed):
+    grid = build_grid(len(counts), [(0.0, 1.0)] * len(counts), tuple(counts))
+    f = random_smooth_map(grid, m, np.random.default_rng(seed), amplitude=amplitude)
+    rep = stability_index(f, warn=False)
+    assert rep.morse_index == np.count_nonzero(dense_pencil_spectrum(f) < -rep.epsilon)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_maps_have_morse_index_zero(n):
+    # for m = 1 the integrand sqrt(1 + |p|^2) is convex, so no map is unstable
+    grid = build_grid(n, [(0.0, 1.0)] * n, (9,) * n)
+    for seed in range(3):
+        f = random_smooth_map(grid, 1, np.random.default_rng(seed), amplitude=6.0)
+        assert SecondVariationForm(f, warn=False).corners_convex()
+        rep = stability_index(f, warn=False)
+        assert rep.morse_index == 0 and rep.verdict == "stable"
+
+
+@pytest.mark.parametrize("amplitude,convex", [(0.3, True), (6.0, False)])
+def test_corner_convexity_of_solved_maps(amplitude, convex, monkeypatch):
+    # a convex map's count at -epsilon is 0 without reading pivots; the other is counted
+    import minsurf.variation
+
+    real, definite = minsurf.variation._factor, []
+
+    def recording(*args, **kwargs):
+        definite.append(kwargs.get("definite", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(minsurf.variation, "_factor", recording)
+    f = solved_holomorphic(17, amplitude)
+    assert SecondVariationForm(f, warn=False).corners_convex() is convex
+    assert stability_index(f, warn=False).morse_index == 0
+    assert definite == [convex]
+
+
 def test_distance_decreasing_minimal_graph_stable(unit_square):
     out = solve_dirichlet(holomorphic_power_map(unit_square, 0.3, 2))
     rep = stability_index(out.solution)
@@ -292,6 +374,40 @@ def test_unconverged_eigen_solve_is_undetermined(unit_square):
     rep = stability_index(out.solution, EigenConfig(max_iters=1))
     assert not rep.converged
     assert rep.verdict == "undetermined"
-    assert rep.summary()["morse_index_bound"] is None
+    assert rep.summary()["morse_index"] is None
     verdict = criteria_report(out.solution, stability=rep)
     assert any("undetermined" in note for note in verdict.notes)
+
+
+def forge_first_count(monkeypatch, count):
+    """The inertia count at -epsilon reads ``count``; every later factorization is real."""
+    import minsurf.variation
+
+    real = minsurf.variation._factor
+    calls = []
+
+    def forged(*args, **kwargs):
+        lu, k = real(*args, **kwargs)
+        calls.append(k)
+        return lu, count if len(calls) == 1 else k
+
+    monkeypatch.setattr(minsurf.variation, "_factor", forged)
+
+
+def test_uncertified_count_is_undetermined(unit_square, monkeypatch):
+    from minsurf import criteria_report
+
+    f = solve_dirichlet(holomorphic_power_map(unit_square, 0.3, 3)).solution
+    forge_first_count(monkeypatch, None)
+    rep = stability_index(f)
+    assert rep.converged and rep.min_eigenvalue > rep.epsilon
+    assert rep.verdict == "undetermined" and rep.morse_index is None
+    verdict = criteria_report(f, stability=rep)
+    assert "stability index undetermined: eigenvalue count not certified" in verdict.notes
+
+
+def test_count_contradicting_the_eigenvalue_raises(unit_square, monkeypatch):
+    f = solve_dirichlet(holomorphic_power_map(unit_square, 0.3, 3)).solution
+    forge_first_count(monkeypatch, 1)
+    with pytest.raises(ContradictionDetected):
+        stability_index(f)
