@@ -33,14 +33,12 @@ certifies the inequalities by randomized campaigns and hunts for
 counterexamples outside the hypotheses by random search. ``SearchRegime``
 owns the sampling box: it draws points, scores them by the chain's margin and
 says whether the whole box lies inside the hypotheses, for campaigns and
-searches alike. Both draw ``SAMPLE_CHUNK`` samples at a time, so a seed fixes
-the samples whatever the thread count, and both judge margins against one
-tolerance ``tol``, which the CLI takes from ``oracle.tol``.
+searches alike. Both draw ``SAMPLE_CHUNK`` samples at a time and judge margins
+against one tolerance ``tol``, which the CLI takes from ``oracle.tol``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,31 +296,23 @@ class CampaignReport(Summarized):
     samples: int
     seed: int
     worst_margins: dict
-    identity_max_defect: float | None
+    identity_max_defect: float
     passed: bool
 
 
-def _campaign_columns(work, samples: int, seed: int, threads: int) -> list[tuple]:
+def _campaign_columns(work, samples: int, seed: int, tol: float) -> list[tuple]:
     """Run ``work(rng, size)`` over ``SAMPLE_CHUNK``-sized chunks; one tuple per result slot.
 
-    Each chunk draws from its own child of ``SeedSequence(seed)``, so the
-    samples do not depend on ``threads``.
+    Each chunk draws from its own child of ``SeedSequence(seed)``. Checks the
+    arguments both campaigns share, ``samples`` and ``tol``.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
     sizes = [min(SAMPLE_CHUNK, samples - start) for start in range(0, samples, SAMPLE_CHUNK)]
-    jobs = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
-
-    def job(args):
-        size, ss = args
-        return work(np.random.default_rng(ss), size)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(job, jobs))
-    else:
-        results = [job(j) for j in jobs]
-    return list(zip(*results))
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return list(zip(*(work(np.random.default_rng(ss), size) for size, ss in zip(sizes, children))))
 
 
 def run_dd_campaign(
@@ -331,7 +321,6 @@ def run_dd_campaign(
     seed: int,
     lam_high: float = 1.0,
     tol: float = 1e-12,
-    threads: int = 1,
 ) -> CampaignReport:
     """Randomized verification of the distance-decreasing chain.
 
@@ -353,7 +342,7 @@ def run_dd_campaign(
             float((E3 / scale).min()),
         )
 
-    e1_e2, identity, e3 = _campaign_columns(work, samples, seed, threads)
+    e1_e2, identity, e3 = _campaign_columns(work, samples, seed, tol)
     min_e1_e2 = min(e1_e2)
     max_identity = max(identity)
     min_e3 = min(e3)
@@ -382,7 +371,6 @@ def run_rank_campaign(
     samples: int,
     seed: int,
     tol: float = 1e-12,
-    threads: int = 1,
 ) -> CampaignReport:
     """Randomized verification of the rank chain inside its hypotheses.
 
@@ -407,7 +395,7 @@ def run_rank_campaign(
         )
 
     names = ("min_F0", "min_F0_minus_split", "min_Fdiag_minus_Flower", "min_Foffdiag", "min_Flower")
-    identity, *columns = _campaign_columns(work, samples, seed, threads)
+    identity, *columns = _campaign_columns(work, samples, seed, tol)
     margins = {name: min(col) for name, col in zip(names, columns)}
     max_identity = max(identity)
     passed = all(v >= -tol for v in margins.values()) and max_identity <= tol
@@ -492,6 +480,8 @@ def counterexample_search(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
     seeds = _analytic_seeds(regime)
 

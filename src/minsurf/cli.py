@@ -185,29 +185,16 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
 def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
     spec = cfg.oracle
     campaigns = []
-    dd_ns = spec.n_values if "distance_decreasing" in spec.chains else ()
-    rank_nps = [
-        (n, p) for n in spec.n_values for p in spec.p_values if "rank" in spec.chains and p <= n
-    ]
     # one seed per campaign and search, in run order
-    count = len(dd_ns) + len(rank_nps) + len(spec.searches)
+    count = len(spec.dd_ns) + len(spec.rank_nps) + len(spec.searches)
     child = iter(np.random.SeedSequence(cfg.seed).generate_state(count).tolist())
-    for n in dd_ns:
-        rep = run_dd_campaign(
-            n,
-            spec.samples,
-            seed=next(child),
-            lam_high=spec.lambda_high,
-            tol=spec.tol,
-            threads=cfg.threads,
-        )
+    for n in spec.dd_ns:
+        rep = run_dd_campaign(n, spec.samples, seed=next(child), lam_high=spec.lambda_high, tol=spec.tol)
         campaigns.append(rep.summary())
         if not rep.passed:
             failures.append(f"distance-decreasing chain violated inside hypotheses at n={n}")
-    for n, p in rank_nps:
-        rep = run_rank_campaign(
-            n, p, spec.samples, seed=next(child), tol=spec.tol, threads=cfg.threads
-        )
+    for n, p in spec.rank_nps:
+        rep = run_rank_campaign(n, p, spec.samples, seed=next(child), tol=spec.tol)
         campaigns.append(rep.summary())
         if not rep.passed:
             failures.append(f"rank chain violated inside hypotheses at n={n}, p={p}")
@@ -283,11 +270,11 @@ def _cmd_validate(cfg: RunConfig, results: dict, failures: list, fields: dict) -
     s2 = form.weighted_inner(V, form.apply(W))
     check("hessian_symmetry_rel", abs(s1 - s2) / max(abs(s1), abs(s2), 1e-30), 1e-10)
 
-    dd = run_dd_campaign(2, spec.oracle_samples, seed=cfg.seed, threads=cfg.threads)
+    dd = run_dd_campaign(2, spec.oracle_samples, seed=cfg.seed)
     check("chain_identity_E2_E3", dd.identity_max_defect, 1e-12)
     check("chain_E1_minus_E2_min", dd.worst_margins["min_E1_minus_E2"], -1e-12, larger_is_bad=False)
     check("chain_E3_min", dd.worst_margins["min_E3"], -1e-12, larger_is_bad=False)
-    rank = run_rank_campaign(3, 2, spec.oracle_samples, seed=cfg.seed + 1, threads=cfg.threads)
+    rank = run_rank_campaign(3, 2, spec.oracle_samples, seed=cfg.seed + 1)
     check("rank_chain_identity_F0_split", rank.identity_max_defect, 1e-12)
     check(
         "rank_chain_min_margin",
@@ -373,7 +360,6 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     report = {
         "command": cfg.command,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "config": to_jsonable(cfg.raw),
         "results": results,
         "assertion_failures": failures,
@@ -401,14 +387,9 @@ def main(argv=None) -> int:
     for p in (run_p, val_p):
         p.add_argument("--output-dir", default=None, help="override the report directory")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for campaigns")
     args = parser.parse_args(argv)
 
-    overrides = {
-        "output_dir": args.output_dir,
-        "seed": args.seed,
-        "threads": args.threads,
-    }
+    overrides = {"output_dir": args.output_dir, "seed": args.seed}
     try:
         if args.subcommand == "run":
             cfg = load_config(args.config, overrides)

@@ -266,6 +266,21 @@ class OracleSpec:
     tol: float = 1e-12
     searches: tuple[_Search, ...] = ()
 
+    def __post_init__(self):
+        if not (self.dd_ns or self.rank_nps or self.searches):
+            raise ValueError("selects no campaign and no search")
+
+    @property
+    def dd_ns(self) -> tuple[int, ...]:
+        """n of each distance-decreasing campaign."""
+        return self.n_values if CHAIN_DD in self.chains else ()
+
+    @property
+    def rank_nps(self) -> list[tuple[int, int]]:
+        """(n, p) of each rank campaign: every pair with p <= n."""
+        chosen = CHAIN_RANK in self.chains
+        return [(n, p) for n in self.n_values for p in self.p_values if chosen and p <= n]
+
 
 @dataclass(frozen=True)
 class ValidateSpec:
@@ -306,7 +321,6 @@ _NEEDS = {
 class RunConfig:
     command: str
     seed: int
-    threads: int
     output_dir: str
     grid: GridSpec | None
     boundary: MapSpec | None
@@ -335,7 +349,6 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     config = RunConfig(
         command=command,
         seed=seed,
-        threads=_read(doc, "threads", "", int, 1, check=1),
         output_dir=_read(doc, "output_dir", "", str, f"runs/{command}"),
         grid=section("grid", GridSpec) if "grid" in doc else None,
         boundary=_parse_mapspec(doc["boundary"], "boundary") if "boundary" in doc else None,

@@ -81,7 +81,7 @@ def distance_decreasing_verdict(
 
 def rank_estimate(S: SingularSpectrumField, rank_tol: float) -> int:
     """Numerical rank bound p: largest nodewise count of stretches above rank_tol."""
-    if rank_tol <= 0:
+    if not rank_tol > 0:  # NaN too
         raise ValueError("rank_tol must be positive")
     p = int((S.values > rank_tol).sum(axis=-1).max())
     return min(p, S.values.shape[-1])

@@ -183,6 +183,8 @@ def uniqueness_experiment(
     """
     if init_count < 2:
         raise ValueError("need at least two initializations")
+    if not uniq_tol > 0:  # NaN too
+        raise ValueError("uniq_tol must be positive")
     rng = np.random.default_rng(seed)
     base = harmonic_extension(boundary)
     inits = [base]

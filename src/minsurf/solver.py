@@ -52,7 +52,7 @@ class SolverConfig:
     max_fallback_iters: int = 5000
 
     def __post_init__(self):
-        if self.tol_residual_sup <= 0:
+        if not self.tol_residual_sup > 0:  # NaN too
             raise ValueError("tolerances must be positive")
         if min(self.max_newton_iters, self.max_fallback_iters) <= 0:
             raise ValueError("iteration caps must be positive")

@@ -236,7 +236,7 @@ class EigenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters <= 0:
+        if not self.tol > 0 or self.max_iters <= 0:  # NaN too
             raise ValueError("eigensolver tolerance and iteration cap must be positive")
 
 
@@ -285,7 +285,11 @@ def _factor(S: sp.csr_matrix, B_diag: np.ndarray, sigma: float, definite: bool =
     pivots = lu.U.diagonal()
     scale = np.max(np.abs(S.diagonal()) + abs(sigma) * B_diag)
     # round-off small: below 1e-11 of the largest diagonal entry of |S| + |sigma| B; NaN fails too
-    certified = np.array_equal(lu.perm_r, lu.perm_c) and np.min(np.abs(pivots)) > 1e-11 * scale
+    certified = (
+        np.array_equal(lu.perm_r, lu.perm_c)
+        and np.isfinite(pivots).all()
+        and np.min(np.abs(pivots)) > 1e-11 * scale
+    )
     return lu, int(np.count_nonzero(pivots < 0)) if certified else None
 
 

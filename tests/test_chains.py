@@ -165,9 +165,9 @@ def test_campaigns_reject_degenerate_sizes(campaign):
         campaign()
 
 
-def test_campaigns_deterministic_and_thread_invariant():
-    a = run_dd_campaign(3, 40_000, seed=5, threads=1)
-    b = run_dd_campaign(3, 40_000, seed=5, threads=4)
+def test_campaigns_deterministic():
+    a = run_dd_campaign(3, 40_000, seed=5)
+    b = run_dd_campaign(3, 40_000, seed=5)
     assert a.worst_margins == b.worst_margins
     assert a.identity_max_defect == b.identity_max_defect
 
@@ -216,14 +216,35 @@ def test_distance_decreasing_regime_rejects_p():
         SearchRegime(chain="distance_decreasing", n=2, p=5)
 
 
-def test_campaigns_do_not_depend_on_threads():
-    for threads in (1, 2):
-        dd = run_dd_campaign(3, 120_000, seed=5, lam_high=1.5, threads=threads)
-        rank = run_rank_campaign(4, 3, 120_000, seed=6, threads=threads)
-        if threads == 1:
-            reference = (dd.summary(), rank.summary())
-        else:
-            assert (dd.summary(), rank.summary()) == reference
+def _chunk_draws(regime, seed, samples):
+    """The samples of a campaign, drawn chunk by chunk from the children of SeedSequence(seed)."""
+    sizes = [SAMPLE_CHUNK, SAMPLE_CHUNK, samples - 2 * SAMPLE_CHUNK]
+    children = np.random.SeedSequence(seed).spawn(3)
+    return [regime.sample(np.random.default_rng(ss), size) for ss, size in zip(children, sizes)]
+
+
+def test_campaigns_draw_one_seed_sequence_child_per_chunk():
+    samples = 120_000
+    dd_rows, rank_rows = [], []
+    for lam, C in _chunk_draws(SearchRegime("distance_decreasing", 3, lam_high=1.5), 5, samples):
+        E1, E2, E3 = dd_chain_terms(lam, C)
+        scale = chain_scale(C)
+        dd_rows.append(((E1 - E2) / scale, E3 / scale, np.abs(E2 - E3) / scale))
+    for lam, C in _chunk_draws(SearchRegime("rank", 4, p=3), 6, samples):
+        F0, Fd, Fo, Fl = rank_chain_terms(lam, C, 3)
+        scale = chain_scale(C)
+        split = (F0 - Fd - Fo) / scale
+        rank_rows.append((F0 / scale, split, (Fd - Fl) / scale, Fo / scale, Fl / scale, np.abs(split)))
+    low = [min(float(col.min()) for col in cols) for cols in zip(*dd_rows)]
+    dd = run_dd_campaign(3, samples, seed=5, lam_high=1.5)
+    assert dd.worst_margins == {"min_E1_minus_E2": low[0], "min_E3": low[1], "lam_high": 1.5}
+    assert dd.identity_max_defect == max(float(row[2].max()) for row in dd_rows)
+    names = ("min_F0", "min_F0_minus_split", "min_Fdiag_minus_Flower", "min_Foffdiag", "min_Flower")
+    rank = run_rank_campaign(4, 3, samples, seed=6)
+    assert rank.worst_margins == {
+        name: min(float(row[i].min()) for row in rank_rows) for i, name in enumerate(names)
+    }
+    assert rank.identity_max_defect == max(float(row[5].max()) for row in rank_rows)
 
 
 def _optimizer_loaded_after(code):

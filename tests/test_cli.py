@@ -373,6 +373,12 @@ SWEEP_DOC = {
             },
             "oracle.searches[0]: need 0 <= lam_low <= lam_high < inf",
         ),
+        ({**BASE_SOLVE, "threads": 2}, "threads: unknown key"),
+        (
+            {"command": "oracle", "oracle": {"n_values": [2], "p_values": [3], "chains": ["rank"]}},
+            "oracle: selects no campaign and no search",
+        ),
+        ({"command": "oracle", "oracle": {"n_values": []}}, "oracle: selects no campaign and no search"),
     ],
     ids=[
         "line-search-factor",
@@ -392,12 +398,24 @@ SWEEP_DOC = {
         "oracle-lambda-high-infinite",
         "criteria-tol-nan",
         "search-lam-high-infinite",
+        "threads-key",
+        "oracle-no-rank-pair",
+        "oracle-no-n-values",
     ],
 )
 def test_malformed_value_exit_2(tmp_path, capsys, doc, path):
     config = write_config(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
     assert main(["run", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_flag_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, {**BASE_SOLVE, "output_dir": str(tmp_path / "out")})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(config), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -579,7 +597,6 @@ _DETERMINISM = {
     },
     "oracle": {
         "command": "oracle",
-        "threads": 2,
         "oracle": {"samples": 120_000, "n_values": [2, 3], "p_values": [2], "searches": _ORACLE_SET["searches"]},
     },
     "sweep": {

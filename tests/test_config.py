@@ -12,19 +12,19 @@ SOLVE = {"command": "solve", "grid": GRID, "boundary": HOLOMORPHIC}
 
 
 def test_top_level_keys_resolve():
-    cfg = parse_config({**SOLVE, "seed": 17, "threads": 3, "output_dir": "runs/x"})
-    assert (cfg.command, cfg.seed, cfg.threads, cfg.output_dir) == ("solve", 17, 3, "runs/x")
+    cfg = parse_config({**SOLVE, "seed": 17, "output_dir": "runs/x"})
+    assert (cfg.command, cfg.seed, cfg.output_dir) == ("solve", 17, "runs/x")
 
 
 def test_top_level_defaults():
     cfg = parse_config(SOLVE)
-    assert (cfg.seed, cfg.threads, cfg.output_dir) == (0, 1, "runs/solve")
+    assert (cfg.seed, cfg.output_dir) == (0, "runs/solve")
     assert cfg.homotopy is None and cfg.sweep is None
 
 
 def test_overrides_replace_document_values():
-    cfg = parse_config({**SOLVE, "seed": 4}, {"seed": 8, "threads": None, "output_dir": "o"})
-    assert (cfg.seed, cfg.threads, cfg.output_dir) == (8, 1, "o")
+    cfg = parse_config({**SOLVE, "seed": 4}, {"seed": 8, "output_dir": "o"})
+    assert (cfg.seed, cfg.output_dir) == (8, "o")
 
 
 def test_raw_embeds_document_verbatim():
@@ -261,7 +261,7 @@ def _search(**values):
 BAD = {
     "top-unknown": ({**SOLVE, "grids": GRID}, "grids:"),
     "top-type": ({**SOLVE, "seed": "x"}, "seed:"),
-    "top-min": ({**SOLVE, "threads": 0}, "threads:"),
+    "top-min": ({**SOLVE, "seed": -1}, "seed: must be >= 0"),
     "command-unknown": ({**SOLVE, "command": "fly"}, "command:"),
     "grid-unknown": (_with(SOLVE, "grid", spacing=1), "grid.spacing:"),
     "grid-type": (_with(SOLVE, "grid", counts=5), "grid.counts:"),

@@ -3,17 +3,24 @@ import pytest
 
 from minsurf import (
     ContradictionDetected,
+    EigenConfig,
     GridMap,
+    SearchRegime,
+    SolverConfig,
     StabilityReport,
     VariationField,
+    counterexample_search,
     criteria_report,
     distance_decreasing_verdict,
     jacobian,
     rank_estimate,
+    run_dd_campaign,
+    run_rank_campaign,
     singular_spectrum,
     solve_dirichlet,
     stability_index,
     two_jacobian_verdict,
+    uniqueness_experiment,
 )
 from minsurf.families import affine_map, holomorphic_power_map, random_smooth_map
 
@@ -117,6 +124,27 @@ def test_verdicts_reject_negative_or_nan_tol(unit_square, verdict, tol):
     S = spectrum_of(GridMap.constant(unit_square, [0.0]))
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         verdict(S, tol=tol)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: SolverConfig(tol_residual_sup=_NAN),
+        lambda grid: EigenConfig(tol=_NAN),
+        lambda grid: criteria_report(holomorphic_power_map(grid, 3.0, 2), rank_tol=_NAN),
+        lambda grid: counterexample_search(SearchRegime("distance_decreasing", 2, lam_high=2.0), 1000, tol=_NAN),
+        lambda grid: run_dd_campaign(2, 1000, seed=0, tol=_NAN),
+        lambda grid: run_rank_campaign(3, 2, 1000, seed=0, tol=_NAN),
+        lambda grid: uniqueness_experiment(holomorphic_power_map(grid, 0.3, 3), 2, uniq_tol=_NAN),
+    ],
+    ids=["solver", "eigen", "rank-tol", "search", "dd-campaign", "rank-campaign", "uniqueness"],
+)
+def test_library_entry_points_reject_nan_tolerances(unit_square, call):
+    with pytest.raises(ValueError, match="must be positive"):
+        call(unit_square)
 
 
 def test_criteria_report_affine_dd(unit_square):

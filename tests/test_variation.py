@@ -26,6 +26,7 @@ from minsurf.families import (
     random_interior_values,
     random_smooth_map,
 )
+from minsurf.variation import _factor
 
 
 def random_variation(grid, m, rng, amplitude=1.0):
@@ -411,3 +412,16 @@ def test_count_contradicting_the_eigenvalue_raises(unit_square, monkeypatch):
     forge_first_count(monkeypatch, 1)
     with pytest.raises(ContradictionDetected):
         stability_index(f)
+
+
+def test_factor_gives_no_count_for_an_infinite_pivot():
+    lu, count = _factor(sp.csr_matrix([[1.0, 1e200], [1e200, 1.0]]), np.ones(2), 0.0)
+    assert np.isneginf(lu.U.diagonal()[1])  # 1 - 1e400 overflows
+    assert count is None
+
+
+def test_factor_gives_no_count_after_a_row_exchange():
+    S = sp.csr_matrix([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    lu, count = _factor(S, np.ones(3), 0.0)
+    assert lu.perm_r.tolist() == [1, 0, 2]  # the zero first pivot exchanges rows
+    assert count is None
