@@ -11,12 +11,15 @@ Every sparse LU of these matrices is ordered by ``dissection_permutation``.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import DomainGrid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _LEAF_NODES = 8  # dissection blocks this small are not split further
 
@@ -51,6 +54,8 @@ def hessian_matrix(form) -> sp.csr_matrix:
     distance one carries its m x m block, so the pattern is the full 3^n stencil.
     Degrees of freedom are ordered node-major, components fastest.
     """
+    import scipy.sparse as sp  # loaded on first use: the chain algebra needs no scipy
+
     grid, m = form.grid, form.m
     blocks = form.node_blocks()
     rank = np.full(grid.counts, -1, dtype=np.int32)

@@ -33,8 +33,9 @@ certifies the inequalities by randomized campaigns and hunts for
 counterexamples outside the hypotheses by random search. ``SearchRegime``
 owns the sampling box: it draws points, scores them by the chain's margin and
 says whether the whole box lies inside the hypotheses, for campaigns and
-searches alike. Both draw ``SAMPLE_CHUNK`` samples at a time and judge margins
-against one tolerance ``tol``, which the CLI takes from ``oracle.tol``.
+searches alike. Both draw ``SAMPLE_CHUNK`` samples at a time, score each drawn
+chunk ``SCORE_BLOCK`` samples at a time, and judge margins against one
+tolerance ``tol``, which the CLI takes from ``oracle.tol``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ __all__ = [
 
 CHAIN_DD = "distance_decreasing"
 CHAIN_RANK = "rank"
-SAMPLE_CHUNK = 50_000  # samples a campaign or search draws and scores at a time
+SAMPLE_CHUNK = 50_000  # samples a campaign or search draws at a time
+SCORE_BLOCK = 8192  # samples scored at a time, so that the kernels' temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,14 @@ def _entries(lam, C):
     """Stretches (n, ...) and pairings (n, n, ...): matrix axes first, each entry contiguous.
 
     The kernels sum over entries one at a time and square by multiplying, so
-    that one sample takes the same operations as a batch.
+    that one sample takes the same operations as a batch. Spectra (..., n)
+    need pairings (..., n, n) of the same batch shape, or ValueError.
     """
-    lam = np.ascontiguousarray(np.moveaxis(np.asarray(lam, dtype=float), -1, 0))
-    C = np.ascontiguousarray(np.moveaxis(np.asarray(C, dtype=float), (-2, -1), (0, 1)))
+    lam, C = np.asarray(lam, dtype=float), np.asarray(C, dtype=float)
+    if C.shape != lam.shape + lam.shape[-1:]:
+        raise ValueError(f"pairings of shape {C.shape} do not match spectra of shape {lam.shape}")
+    lam = np.ascontiguousarray(np.moveaxis(lam, -1, 0))
+    C = np.ascontiguousarray(np.moveaxis(C, (-2, -1), (0, 1)))
     return lam, C, 1.0 + lam * lam
 
 
@@ -177,11 +183,9 @@ def rank_chain_terms(lam: np.ndarray, C: np.ndarray, p: int):
     return F0, F_diag, F_offdiag, F_lower
 
 
-def _pairings(sample: SpectrumSample, C) -> np.ndarray:
-    """C as a finite n x n float array for ``sample``, or ValueError."""
+def _pairings(C) -> np.ndarray:
+    """C as a finite float array, or ValueError; the kernels check its shape."""
     C = np.asarray(C, dtype=float)
-    if C.shape != (sample.n, sample.n):
-        raise ValueError(f"C must be {sample.n} x {sample.n}")
     if not np.all(np.isfinite(C)):
         raise ValueError("pairing matrix entries must be finite")
     return C
@@ -189,7 +193,7 @@ def _pairings(sample: SpectrumSample, C) -> np.ndarray:
 
 def eval_dd_chain(sample: SpectrumSample, C: np.ndarray) -> ChainEvaluation:
     """Distance-decreasing chain at one sample."""
-    C = _pairings(sample, C)
+    C = _pairings(C)
     E1, E2, E3 = dd_chain_terms(sample.lam, C)
     return ChainEvaluation(
         E1=float(E1),
@@ -202,7 +206,7 @@ def eval_dd_chain(sample: SpectrumSample, C: np.ndarray) -> ChainEvaluation:
 
 def eval_rank_chain(sample: SpectrumSample, C: np.ndarray, p: int) -> ChainEvaluation:
     """Rank chain at one sample with rank budget p >= 2."""
-    C = _pairings(sample, C)
+    C = _pairings(C)
     if p < 2:
         raise ValueError("rank chain requires p >= 2")
     if int(np.count_nonzero(sample.lam)) > p:
@@ -263,8 +267,13 @@ class SearchRegime:
         if self.chain == CHAIN_DD or not self.cap_products:
             return lam
         bound = 1.0 / (self.p - 1)
-        top = np.sort(lam, axis=-1)
-        prod = top[..., -1] * top[..., -2]
+        # the two largest stretches of each spectrum, by a running top two
+        first, second, *rest = np.moveaxis(lam, -1, 0)
+        top, runner_up = np.maximum(first, second), np.minimum(first, second)
+        for col in rest:
+            runner_up = np.maximum(runner_up, np.minimum(top, col))
+            top = np.maximum(top, col)
+        prod = top * runner_up
         # an exact 1.0 leaves spectra under the cap bit-identical
         factor = np.where(prod > bound, np.sqrt(bound / np.maximum(prod, 1e-300)), 1.0)
         return lam * factor[..., None]
@@ -273,9 +282,12 @@ class SearchRegime:
         """``count`` uniform points: spectra (count, n) and pairings (count, n, n)."""
         lam = rng.uniform(self.lam_low, self.lam_high, size=(count, self.n))
         if self.chain == CHAIN_RANK and self.p < self.n:
-            # a random choice of p stretches stays nonzero
-            order = np.argsort(rng.random((count, self.n)), axis=-1)
-            np.put_along_axis(lam, order[:, self.p :], 0.0, axis=-1)
+            # a random choice of p stretches stays nonzero: those whose key ranks below p in
+            # its row, ties going to the earlier column as in a stable sort
+            keys = rng.random((count, self.n)).T
+            for j, key in enumerate(keys):
+                rank = sum(keys[k] <= key if k < j else keys[k] < key for k in range(self.n) if k != j)
+                lam[:, j][rank >= self.p] = 0.0
         lam = self._capped(lam)
         C = rng.uniform(-1.0, 1.0, size=(count, self.n, self.n))
         return lam, C
@@ -300,11 +312,18 @@ class CampaignReport(Summarized):
     passed: bool
 
 
-def _campaign_columns(work, samples: int, seed: int, tol: float) -> list[tuple]:
-    """Run ``work(rng, size)`` over ``SAMPLE_CHUNK``-sized chunks; one tuple per result slot.
+def _blocks(lam, C):
+    """The samples of a drawn chunk, ``SCORE_BLOCK`` at a time."""
+    for start in range(0, len(lam), SCORE_BLOCK):
+        yield lam[start : start + SCORE_BLOCK], C[start : start + SCORE_BLOCK]
 
-    Each chunk draws from its own child of ``SeedSequence(seed)``. Checks the
-    arguments both campaigns share, ``samples`` and ``tol``.
+
+def _campaign_columns(regime: SearchRegime, work, samples: int, seed: int, tol: float) -> list[tuple]:
+    """Run ``work(lam, C)`` on every block of ``samples`` points; one tuple per result slot.
+
+    The points are drawn from ``regime`` in ``SAMPLE_CHUNK``-sized chunks, each
+    from its own child of ``SeedSequence(seed)``. Checks the arguments both
+    campaigns share, ``samples`` and ``tol``.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -312,7 +331,11 @@ def _campaign_columns(work, samples: int, seed: int, tol: float) -> list[tuple]:
         raise ValueError("tol must be positive")
     sizes = [min(SAMPLE_CHUNK, samples - start) for start in range(0, samples, SAMPLE_CHUNK)]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    return list(zip(*(work(np.random.default_rng(ss), size) for size, ss in zip(sizes, children))))
+    rows = []
+    for size, ss in zip(sizes, children):
+        lam, C = regime.sample(np.random.default_rng(ss), size)
+        rows += [work(*block) for block in _blocks(lam, C)]
+    return list(zip(*rows))
 
 
 def run_dd_campaign(
@@ -332,8 +355,7 @@ def run_dd_campaign(
         raise ValueError("need n >= 2")
     regime = SearchRegime(CHAIN_DD, n, lam_high=lam_high)
 
-    def work(rng, size):
-        lam, C = regime.sample(rng, size)
+    def work(lam, C):
         E1, E2, E3 = dd_chain_terms(lam, C)
         scale = chain_scale(C)
         return (
@@ -342,7 +364,7 @@ def run_dd_campaign(
             float((E3 / scale).min()),
         )
 
-    e1_e2, identity, e3 = _campaign_columns(work, samples, seed, tol)
+    e1_e2, identity, e3 = _campaign_columns(regime, work, samples, seed, tol)
     min_e1_e2 = min(e1_e2)
     max_identity = max(identity)
     min_e3 = min(e3)
@@ -380,8 +402,7 @@ def run_rank_campaign(
         raise ValueError("need n >= 2 and p >= 2")
     regime = SearchRegime(CHAIN_RANK, n, p=p)
 
-    def work(rng, size):
-        lam, C = regime.sample(rng, size)
+    def work(lam, C):
         F0, Fd, Fo, Fl = rank_chain_terms(lam, C, p)
         scale = chain_scale(C)
         split = (F0 - Fd - Fo) / scale
@@ -395,7 +416,7 @@ def run_rank_campaign(
         )
 
     names = ("min_F0", "min_F0_minus_split", "min_Fdiag_minus_Flower", "min_Foffdiag", "min_Flower")
-    identity, *columns = _campaign_columns(work, samples, seed, tol)
+    identity, *columns = _campaign_columns(regime, work, samples, seed, tol)
     margins = {name: min(col) for name, col in zip(names, columns)}
     max_identity = max(identity)
     passed = all(v >= -tol for v in margins.values()) and max_identity <= tol
@@ -474,9 +495,10 @@ def counterexample_search(
     """Random search for chain violations in a regime.
 
     Scores the analytic seeds, then ``budget`` points drawn from
-    ``default_rng(seed)`` ``SAMPLE_CHUNK`` at a time, and reports the one with
-    the most negative margin. Absence of a counterexample inside the
-    hypotheses is reported as such, not claimed as a proof.
+    ``default_rng(seed)`` ``SAMPLE_CHUNK`` at a time and scored ``SCORE_BLOCK``
+    at a time, and reports the first one with the most negative margin.
+    Absence of a counterexample inside the hypotheses is reported as such,
+    not claimed as a proof.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -488,7 +510,7 @@ def counterexample_search(
     def batches():
         yield seeds
         for start in range(0, budget, SAMPLE_CHUNK):
-            yield regime.sample(rng, min(SAMPLE_CHUNK, budget - start))
+            yield from _blocks(*regime.sample(rng, min(SAMPLE_CHUNK, budget - start)))
 
     best_margin, best = np.inf, None
     for lam, C in batches():

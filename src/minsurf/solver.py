@@ -17,7 +17,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .area import discrete_area, minimal_system_residual
 from .assembly import dissection_permutation
@@ -112,6 +111,8 @@ def harmonic_extension(boundary: GridMap) -> GridMap:
 
 def _newton_direction(f, report, w):
     """The Newton step on the exact area Hessian, or None if unusable."""
+    import scipy.sparse.linalg as spla  # loaded on first use: the chain algebra needs no scipy
+
     grid = f.grid
     hessian = colored_stencil_matrix(SecondVariationForm(f, warn=False))
     # residual is -grad/w, so H d = -grad reads H d = w * residual

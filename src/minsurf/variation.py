@@ -24,10 +24,9 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._stencils import _edge, cell_counts, corner_jacobians, corner_metrics, corner_offsets, corner_weight
 from ._stencils import scatter_corner_flux, small_matmul
@@ -37,6 +36,9 @@ from .assembly import hessian_matrix as colored_stencil_matrix  # the name perfb
 from .errors import ContradictionDetected, NotMinimalWarning
 from .grid import GridMap, induced_metric
 from .report import Summarized
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "VariationField",
@@ -275,6 +277,9 @@ def _factor(S: sp.csr_matrix, B_diag: np.ndarray, sigma: float, definite: bool =
     ``definite`` S - sigma B it is 0 without reading the pivots, which SuperLU
     hands out only as copies of both factors, more memory than the LU itself.
     """
+    import scipy.sparse as sp  # loaded on first use: the chain algebra needs no scipy
+    import scipy.sparse.linalg as spla
+
     A = (S - sigma * sp.diags(B_diag)).tocsc()
     try:
         lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})

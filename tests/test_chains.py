@@ -15,6 +15,7 @@ from minsurf import (
 )
 from minsurf.chains import (
     SAMPLE_CHUNK,
+    SCORE_BLOCK,
     _analytic_seeds,
     chain_scale,
     dd_chain_terms,
@@ -99,6 +100,17 @@ def test_chain_values_permutation_invariant(lam, C, perm):
     scale = chain_scale(C) + float(np.sum(lam**2))
     for a, b in zip(E, Ep):
         assert abs(a - b) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize(
+    "lam_shape, C_shape",
+    [((5, 2), (5, 3, 3)), ((5, 3), (5, 3, 2)), ((5, 2), (4, 2, 2)), ((2,), (5, 2, 2)), ((5, 2), (2, 2))],
+)
+@pytest.mark.parametrize("chain", ["distance_decreasing", "rank"])
+def test_chain_kernels_reject_mismatched_shapes(chain, lam_shape, C_shape):
+    lam, C = np.full(lam_shape, 0.5), np.ones(C_shape)
+    with pytest.raises(ValueError, match="do not match"):
+        dd_chain_terms(lam, C) if chain == "distance_decreasing" else rank_chain_terms(lam, C, 2)
 
 
 def test_eval_chain_rejects_nonfinite_pairings():
@@ -247,8 +259,8 @@ def test_campaigns_draw_one_seed_sequence_child_per_chunk():
     assert rank.identity_max_defect == max(float(row[5].max()) for row in rank_rows)
 
 
-def _optimizer_loaded_after(code):
-    """Whether running ``code`` in a fresh interpreter imports scipy.optimize."""
+def _loaded_after(code, package):
+    """Whether running ``code`` in a fresh interpreter imports ``package`` or one of its modules."""
     import subprocess
     import sys
     from pathlib import Path
@@ -256,8 +268,9 @@ def _optimizer_loaded_after(code):
     import minsurf
 
     src = str(Path(minsurf.__file__).resolve().parent.parent)
+    probe = f"import sys; print(any(m == {package!r} or m.startswith({package + '.'!r}) for m in sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\n{probe}"],
         env={"PYTHONPATH": src, "PATH": ""},
         capture_output=True,
         text=True,
@@ -267,7 +280,37 @@ def _optimizer_loaded_after(code):
 
 
 def test_cli_import_leaves_optimizer_unloaded():
-    assert not _optimizer_loaded_after("import minsurf.cli")
+    assert not _loaded_after("import minsurf.cli", "scipy.optimize")
+
+
+@pytest.mark.parametrize("module", ["minsurf", "minsurf.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    assert not _loaded_after(f"import {module}", "scipy")
+
+
+def _run_code(tmp_path, doc):
+    """Code that runs ``minsurf run`` on ``doc`` in-process and checks that it exits 0."""
+    import json
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+    return f"import minsurf.cli\nassert minsurf.cli.main(['run', {str(path)!r}]) == 0"
+
+
+def test_oracle_run_leaves_scipy_unloaded(tmp_path):
+    search = {"chain": "rank", "n": 3, "p": 2, "lam_high": 1.5, "cap_products": False, "budget": 2_000}
+    oracle = {"samples": 2_000, "n_values": [2, 3], "p_values": [2], "searches": [search]}
+    assert not _loaded_after(_run_code(tmp_path, {"command": "oracle", "oracle": oracle}), "scipy")
+
+
+def test_solve_run_loads_scipy_where_it_is_used(tmp_path):
+    doc = {
+        "command": "solve",
+        "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [9, 9]},
+        "boundary": {"family": "holomorphic_power", "amplitude": 0.3, "power": 3},
+        "stability": {"enabled": True},
+    }
+    assert _loaded_after(_run_code(tmp_path, doc), "scipy.sparse.linalg")
 
 
 def test_found_search_leaves_optimizer_unloaded():
@@ -276,7 +319,7 @@ def test_found_search_leaves_optimizer_unloaded():
         "regime = SearchRegime(chain='distance_decreasing', n=2, lam_high=2.0)\n"
         "assert counterexample_search(regime, budget=1_000, seed=3).found"
     )
-    assert not _optimizer_loaded_after(code)
+    assert not _loaded_after(code, "scipy.optimize")
 
 
 @pytest.mark.parametrize(
@@ -300,6 +343,77 @@ def test_found_search_reports_its_best_seeded_or_sampled_point(regime, seed):
     assert rep.best_margin == margins[k]
     assert rep.best_lambda == tuple(lam[k]) and rep.best_C == tuple(map(tuple, C[k]))
     assert rep.samples_evaluated == len(batches[0][0]) + budget
+
+
+@pytest.mark.parametrize(
+    "regime",
+    [SearchRegime(chain="rank", n=4, p=3, cap_products=False), SearchRegime(chain="distance_decreasing", n=3)],
+    ids=["rank", "distance_decreasing"],
+)
+def test_blocked_search_keeps_the_best_point_of_the_whole_chunk(regime):
+    lam, C = regime.sample(np.random.default_rng(0), SAMPLE_CHUNK)
+    margins = regime.margin(lam, C)
+    k = int(np.argmin(margins))
+    assert k >= SCORE_BLOCK  # past the first scoring block
+    rep = counterexample_search(regime, budget=SAMPLE_CHUNK, seed=0)
+    assert rep.best_margin == margins[k]
+    assert rep.found == (not regime.in_hypothesis)
+    if rep.found:
+        assert rep.best_lambda == tuple(lam[k]) and rep.best_C == tuple(map(tuple, C[k]))
+
+
+def _sorting_sample(regime, rng, count):
+    """``SearchRegime.sample`` of a rank regime by sorting: argsort of the keys, a full row sort for the cap."""
+    n, p = regime.n, regime.p
+    lam = rng.uniform(regime.lam_low, regime.lam_high, size=(count, n))
+    if p < n:
+        order = np.argsort(rng.random((count, n)), axis=-1)
+        np.put_along_axis(lam, order[:, p:], 0.0, axis=-1)
+    if regime.cap_products:
+        bound = 1.0 / (p - 1)
+        top = np.sort(lam, axis=-1)
+        prod = top[..., -1] * top[..., -2]
+        lam = lam * np.where(prod > bound, np.sqrt(bound / np.maximum(prod, 1e-300)), 1.0)[..., None]
+    return lam, rng.uniform(-1.0, 1.0, size=(count, n, n))
+
+
+@st.composite
+def rank_regimes(draw):
+    n = draw(st.integers(2, 5))
+    lam_low, lam_high = sorted(draw(st.floats(0, 2)) for _ in range(2))
+    return SearchRegime(
+        chain="rank",
+        n=n,
+        lam_low=lam_low,
+        lam_high=lam_high,
+        p=draw(st.integers(2, n)),
+        cap_products=draw(st.booleans()),
+    )
+
+
+@given(regime=rank_regimes(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 300))
+@settings(max_examples=200, deadline=None)
+def test_rank_sampler_equals_the_sorting_formulas(regime, seed, count):
+    lam, C = regime.sample(np.random.default_rng(seed), count)
+    ref_lam, ref_C = _sorting_sample(regime, np.random.default_rng(seed), count)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(C, ref_C)
+
+
+class _TiedDraws:
+    """Stand-in generator for ``SearchRegime.sample``: stretches 0.5 and tied rank keys."""
+
+    keys = np.array([[0.5, 0.5, 0.5, 0.5], [0.2, 0.7, 0.2, 0.7]])
+
+    def uniform(self, low, high, size):
+        return np.full(size, 0.5)
+
+    def random(self, size):
+        return self.keys.copy()
+
+
+def test_rank_sampler_breaks_key_ties_like_a_stable_sort():
+    lam, _ = SearchRegime(chain="rank", n=4, p=2, cap_products=False).sample(_TiedDraws(), 2)
+    assert np.array_equal(lam, [[0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]])
 
 
 @st.composite

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from minsurf import solver
 from minsurf import (
@@ -241,7 +242,7 @@ def test_unusable_newton_step_is_rescued_by_the_gradient(monkeypatch, first_step
     boundary = holomorphic_power_map(grid, 0.3, 3)
     init = harmonic_extension(boundary)
     gradient = minimal_system_residual(init).residual
-    spsolve, area = solver.spla.spsolve, solver.discrete_area
+    spsolve, area = spla.spsolve, solver.discrete_area
     solves, trials = [], []  # trials[i]: the candidates of step i + 1
 
     def first_spsolve_spoiled(*args, **kwargs):
@@ -254,7 +255,7 @@ def test_unusable_newton_step_is_rescued_by_the_gradient(monkeypatch, first_step
         trials[-1].append(f.values - init.values)
         return area(f)
 
-    monkeypatch.setattr(solver.spla, "spsolve", first_spsolve_spoiled)
+    monkeypatch.setattr(spla, "spsolve", first_spsolve_spoiled)
     monkeypatch.setattr(solver, "discrete_area", recorded_area)
     with np.errstate(all="ignore"):  # the huge step overflows the area
         out = solve_dirichlet(boundary, init=init)
