@@ -114,7 +114,8 @@ class ChainEvaluation:
 
 def chain_scale(C: np.ndarray) -> np.ndarray:
     """Tolerance scale sum C_ij^2 + 1; keeps zero samples non-vacuous."""
-    return np.sum(np.asarray(C) ** 2, axis=(-2, -1)) + 1.0
+    C = np.asarray(C, dtype=float)
+    return np.einsum("...ij,...ij->...", C, C) + 1.0  # no (N, n, n) square is made
 
 
 def _entries(lam, C):

@@ -119,6 +119,7 @@ class SecondVariationForm:
         self._JGi = small_matmul(self._J, self._Ginv)
         self._wc = corner_weight(self.grid)
         self._interior = self.grid.interior_mask
+        self._kept_columns = None  # set by corners_convex
 
     @cached_property
     def _node_weight(self) -> np.ndarray:
@@ -191,13 +192,28 @@ class SecondVariationForm:
         return blocks
 
     def _hessian_columns(self):
-        """K_c E_bj for each unit corner field E_bj in (b, j) order, entries (a, i) per corner."""
+        """K_c E_bj for each unit corner field E_bj in (b, j) order, entries (a, i) per corner.
+
+        The ones ``corners_convex`` kept, else computed one at a time.
+        """
+        if self._kept_columns is not None:
+            return self._kept_columns
         mn, n = self.m * self.grid.n, self.grid.n
         return (self._flux(unit) for unit in np.eye(mn).reshape((mn, self.m, n) + (1,) * (n + 1)))
 
     def corners_convex(self) -> bool:
-        """Whether every corner Hessian K_c is positive definite, which makes H positive semidefinite."""
-        K = np.stack([col.reshape(self.m * self.grid.n, -1).T for col in self._hessian_columns()], axis=-1)
+        """Whether every corner Hessian K_c is positive definite, which makes H positive semidefinite.
+
+        Keeps the columns of K_c, so a later ``node_blocks`` applies no flux again.
+        Newton assembles without this test and never holds them all at once.
+        """
+        mn = self.m * self.grid.n
+        if self._kept_columns is None:
+            columns = np.empty((mn,) + self._J.shape)
+            for column, flux in zip(columns, self._hessian_columns()):
+                column[...] = flux
+            self._kept_columns = columns
+        K = self._kept_columns.reshape(mn, mn, -1).T  # per corner, [(a, i), (b, j)]
         try:
             np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
@@ -299,17 +315,23 @@ def _factor(S: sp.csr_matrix, B_diag: np.ndarray, sigma: float, definite: bool =
 
 
 def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, epsilon: float, cfg: EigenConfig, convex: bool):
-    """Block inverse iteration on the pencil S v = theta B v at one certified, fixed shift.
+    """Block inverse iteration with the previous block in the Rayleigh-Ritz space (LOBPCG-style).
 
+    It runs on the pencil S v = theta B v at one certified, fixed shift.
     The count k of eigenvalues below -epsilon (the Morse index, None when not
     certified) comes from factoring S + epsilon B; it is 0 without a count when
     every corner Hessian is positive definite (``convex``), since then S is
     positive semidefinite. With k = 0 the iteration runs on that LU; otherwise
     the shift is bisected on inertia between a Gershgorin lower bound and
     -epsilon until a shift with no eigenvalue below it lies within
-    0.1 (1 + |sigma|) of one with some, and runs on its LU. A small block with
-    Rayleigh-Ritz extraction handles clustered bottom eigenvalues (the flat
-    operator has one copy of the spectrum per target component).
+    0.1 (1 + |sigma|) of one with some, and runs on its LU. A block of 4 handles
+    clustered bottom eigenvalues (the flat operator has one copy of the spectrum
+    per target component). Each step solves with the current block and takes
+    the lowest 4 Ritz pairs from the span of those solves and the previous
+    block, made B-orthonormal by a Householder QR, which stays orthonormal as
+    the two blocks align. That is LOBPCG's "previous direction" (Knyazev, SIAM
+    J. Sci. Comput. 23, 2001) with the exact shift-inverse as preconditioner;
+    the first step has no previous block.
     """
     sb = np.sqrt(B_diag)
     lu, morse = _factor(S, B_diag, -epsilon, definite=convex)
@@ -325,16 +347,19 @@ def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, epsilon: float, cf
                 break
             else:
                 lo = sigma
-    X = np.random.default_rng(cfg.seed).standard_normal((sb.size, min(4, sb.size)))
+    block = min(4, sb.size)
+    X = np.random.default_rng(cfg.seed).standard_normal((sb.size, block))
+    previous = X[:, :0]  # the first iterate has no previous block
     history: list[float] = []
     for it in range(1, cfg.max_iters + 1):  # max_iters >= 1 sets theta, resid and it
-        Q, _ = np.linalg.qr(sb[:, None] * lu.solve(B_diag[:, None] * X))
-        X = Q / sb[:, None]  # B-orthonormal
-        SX = S.dot(X)
-        ritz_vals, U = np.linalg.eigh(X.T @ SX)
-        X, theta = X @ U, float(ritz_vals[0])
+        Q, _ = np.linalg.qr(sb[:, None] * np.hstack((lu.solve(B_diag[:, None] * X), previous)))
+        Z = Q / sb[:, None]  # B-orthonormal basis of the new block and the previous one
+        SZ = S.dot(Z)
+        ritz_vals, U = np.linalg.eigh(Z.T @ SZ)
+        U = U[:, :block]
+        previous, X, theta = X, Z @ U, float(ritz_vals[0])
         history.append(theta)
-        r = SX @ U[:, 0] - theta * (B_diag * X[:, 0])
+        r = SZ @ U[:, 0] - theta * (B_diag * X[:, 0])
         resid = float(np.sqrt(np.sum(r * r / B_diag)))
         # absolute residual contract in the weighted norm, ||v||_B = 1
         if resid <= cfg.tol:
@@ -360,6 +385,7 @@ def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = Tru
     form = SecondVariationForm(f, warn=False)
     convex = form.corners_convex()
     S, B_diag = form.assemble()
+    del form  # and the corner Hessian it kept, before any factorization
     perm = dissection_permutation(f.grid, f.m)
     S, B_diag = S[perm][:, perm], B_diag[perm]  # every LU factors in the dissection order
     epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B_diag)))

@@ -51,16 +51,38 @@ def test_harmonic_extension_matches_sparse_oracle(counts, extents, m):
     assert np.abs(lap).max() <= 1e-10 * scale
 
 
+def flat_bottom_eigenvalue(grid):
+    return sum((2.0 - 2.0 * np.cos(np.pi / (c - 1))) / h**2 for c, h in zip(grid.counts, grid.spacings))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("counts,extents", BOXES)
 def test_flat_stability_index_is_closed_form(counts, extents, m):
     grid = build_grid(len(counts), extents, counts)
     rep = stability_index(GridMap.constant(grid, [0.0] * m), warn=False)
-    expected = sum(
-        (2.0 - 2.0 * np.cos(np.pi / (c - 1))) / h**2 for c, h in zip(grid.counts, grid.spacings)
-    )
+    expected = flat_bottom_eigenvalue(grid)
     assert rep.converged
     assert abs(rep.min_eigenvalue - expected) <= 1e-10 * expected
+
+
+def test_flat_box_bottom_in_fewer_iterations():
+    # the bottom eigenvalue has m = 3 copies and the next one sits close above;
+    # plain block inverse iteration took 39 iterations here
+    grid = build_grid(3, [(0.0, 1.0)] * 3, (5, 4, 6))
+    rep = stability_index(GridMap.constant(grid, [0.0] * 3), warn=False)
+    expected = flat_bottom_eigenvalue(grid)
+    assert rep.converged and rep.iterations <= 39
+    assert abs(rep.min_eigenvalue - expected) <= 1e-10 * expected
+
+
+def test_single_dof_grid_converges():
+    # one interior node and m = 1: the Rayleigh-Ritz space is the whole line
+    grid = build_grid(2, [(0.0, 1.0)] * 2, (3, 3))
+    rep = stability_index(GridMap.constant(grid, [0.0]), warn=False)
+    assert rep.converged and rep.verdict == "stable"
+    assert np.isfinite(rep.eigen_residual) and np.all(np.isfinite(rep.eigenvector.values))
+    expected = flat_bottom_eigenvalue(grid)
+    assert abs(rep.min_eigenvalue - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -70,9 +92,7 @@ def test_flat_pencil_inertia_at_its_bottom_eigenvalue(counts, extents, m):
     # where the bottom eigenvalue's m copies (one per target component) lie below
     grid = build_grid(len(counts), extents, counts)
     S, B_diag = minsurf.variation.SecondVariationForm(GridMap.constant(grid, [0.0] * m)).assemble()
-    bottom = sum(
-        (2.0 - 2.0 * np.cos(np.pi / (c - 1))) / h**2 for c, h in zip(grid.counts, grid.spacings)
-    )
+    bottom = flat_bottom_eigenvalue(grid)
     shifts = bottom * np.array([0.999, 1.0, 1.001])
     assert [minsurf.variation._factor(S, B_diag, s)[1] for s in shifts] == [0, None, m]
 

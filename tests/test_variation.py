@@ -20,6 +20,7 @@ from minsurf import (
     solve_dirichlet,
     stability_index,
 )
+from minsurf.assembly import dissection_permutation
 from minsurf.families import (
     affine_map,
     holomorphic_power_map,
@@ -255,24 +256,29 @@ def solved_holomorphic(nodes, amplitude):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build,max_iterations",
     [
-        lambda: solved_holomorphic(13, 5.0),
-        lambda: solved_holomorphic(17, 6.0),
-        lambda: solved_holomorphic(21, 4.5),
-        lambda: random_smooth_map(
-            build_grid(2, [(0, 1), (0, 1)], (15, 15)), 2, np.random.default_rng(2), amplitude=3.0
+        (lambda: solved_holomorphic(13, 5.0), 18),
+        (lambda: solved_holomorphic(17, 6.0), 15),
+        (lambda: solved_holomorphic(21, 4.5), 16),
+        (
+            lambda: random_smooth_map(
+                build_grid(2, [(0, 1), (0, 1)], (15, 15)), 2, np.random.default_rng(2), amplitude=3.0
+            ),
+            7,
         ),
     ],
     ids=["holomorphic-13-5", "holomorphic-17-6", "holomorphic-21-4.5", "indefinite"],
 )
-def test_stability_index_matches_dense_eigh(build):
+def test_stability_index_matches_dense_eigh(build, max_iterations):
     # the solved maps pack near-double eigenvalues close to zero (17^2, s = 6:
-    # 0.0193, 0.0194, 0.0397, 0.0398, ...); the random map has ten below zero
+    # 0.0193, 0.0194, 0.0397, 0.0398, ...); the random map has ten below zero.
+    # The iteration caps are the counts of plain block inverse iteration, which
+    # keeps no previous block in its Rayleigh-Ritz space
     f = build()
     spectrum = dense_pencil_spectrum(f)
     rep = stability_index(f, warn=False)
-    assert rep.converged
+    assert rep.converged and rep.iterations <= max_iterations
     assert abs(rep.min_eigenvalue - spectrum[0]) <= 1e-10 * abs(spectrum[0])
     assert rep.morse_index == np.count_nonzero(spectrum < -rep.epsilon)
 
@@ -318,6 +324,21 @@ def test_corner_convexity_of_solved_maps(amplitude, convex, monkeypatch):
     assert SecondVariationForm(f, warn=False).corners_convex() is convex
     assert stability_index(f, warn=False).morse_index == 0
     assert definite == [convex]
+
+
+def test_corner_hessian_is_built_once_per_stability_index(monkeypatch):
+    # the convexity test and the assembly share the m n corner flux columns
+    real, calls = SecondVariationForm._flux, []
+
+    def counting(self, B):
+        calls.append(B.shape)
+        return real(self, B)
+
+    monkeypatch.setattr(SecondVariationForm, "_flux", counting)
+    grid = build_grid(3, [(0.0, 1.0)] * 3, (5, 5, 5))
+    f = random_smooth_map(grid, 2, np.random.default_rng(0), amplitude=1.0)
+    stability_index(f, warn=False)
+    assert len(calls) == 2 * 3
 
 
 def test_distance_decreasing_minimal_graph_stable(unit_square):
@@ -378,6 +399,28 @@ def test_unconverged_eigen_solve_is_undetermined(unit_square):
     assert rep.summary()["morse_index"] is None
     verdict = criteria_report(out.solution, stability=rep)
     assert any("undetermined" in note for note in verdict.notes)
+
+
+def test_first_iterate_is_one_step_of_block_inverse_iteration(unit_square):
+    # the first Rayleigh-Ritz space has no previous block: it is the span of
+    # the solves with the seeded block alone
+    f = solve_dirichlet(holomorphic_power_map(unit_square, 0.3, 3)).solution
+    rep = stability_index(f, EigenConfig(max_iters=1), warn=False)
+
+    form = SecondVariationForm(f, warn=False)
+    assert form.corners_convex()  # so the iteration runs on the LU at -epsilon
+    S, B = form.assemble()
+    perm = dissection_permutation(unit_square, f.m)
+    S, B = S[perm][:, perm], B[perm]
+    epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B)))
+    lu, _ = _factor(S, B, -epsilon, definite=True)
+    sb = np.sqrt(B)
+    X = np.random.default_rng(EigenConfig().seed).standard_normal((sb.size, 4))
+    Q, _ = np.linalg.qr(sb[:, None] * lu.solve(B[:, None] * X))
+    X = Q / sb[:, None]
+    theta = float(np.linalg.eigh(X.T @ S.dot(X))[0][0])
+    assert rep.min_eigenvalue == theta
+    assert rep.rayleigh_history == (theta,)
 
 
 def forge_first_count(monkeypatch, count):
