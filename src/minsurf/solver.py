@@ -9,6 +9,12 @@ from the corner tensor. Each iteration spends one step: Newton while
 accepted by backtracking on the area value. An unusable Newton direction, or
 one whose line search fails, is replaced by the gradient on the same step.
 Boundary values never change, bit for bit.
+
+A solve keeps the sparse LU of the last Newton matrix it factored. Every
+later Newton system, on its own exact Hessian, is solved by iterative
+refinement on that LU to a residual of ``REFINE_TOL`` times the right-hand
+side, so the direction stays the exact Newton one; only when refinement
+stalls is the new Hessian factored afresh (``SolveOutcome.factorizations``).
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ STATUS_LINE_SEARCH_STALL = "line_search_stall"
 BACKTRACK_FACTOR = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 40
+# refinement on the kept LU: relative residual that ends it, and the steps it may take
+# before the Newton matrix is factored afresh (as it is at once when a step fails to
+# halve the residual)
+REFINE_TOL = 1e-12
+MAX_REFINE_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,7 @@ class SolveOutcome(Summarized):
     status: str
     iterations: int
     fallback_iterations: int
+    factorizations: int
     residual_sup_norm: float
     residual_l2_norm: float
     area_history: tuple[float, ...]
@@ -109,18 +121,57 @@ def harmonic_extension(boundary: GridMap) -> GridMap:
     return GridMap(grid=grid, values=values)
 
 
-def _newton_direction(f, report, w):
-    """The Newton step on the exact area Hessian, or None if unusable."""
-    import scipy.sparse.linalg as spla  # loaded on first use: the chain algebra needs no scipy
+class _KeptLU:
+    """The sparse LU of the last Newton matrix factored in one solve.
 
+    ``solve`` refines x <- x + LU^-1 (rhs - H x) from x = 0, the residual taken
+    by H's own natural-order matvec, until it is at most ``REFINE_TOL`` times
+    rhs. A step that fails to halve the residual, or ``MAX_REFINE_STEPS`` run
+    out, drops the kept LU and factors H afresh in dissection order; that LU
+    is kept in its place.
+    """
+
+    def __init__(self, grid, m):
+        self.p = dissection_permutation(grid, m)
+        self.lu = None
+        self.factorizations = 0
+
+    def _lu_solve(self, b):
+        x = np.empty_like(b)
+        x[self.p] = self.lu.solve(b[self.p])
+        return x
+
+    def solve(self, hessian, rhs):
+        """H^-1 rhs; raises RuntimeError if H is factored and exactly singular."""
+        import scipy.sparse.linalg as spla  # loaded on first use: the chain algebra needs no scipy
+
+        if self.lu is not None:
+            x = np.zeros_like(rhs)
+            residual = rhs
+            norm = np.linalg.norm(rhs)
+            target = REFINE_TOL * norm
+            for _ in range(MAX_REFINE_STEPS):
+                x = x + self._lu_solve(residual)
+                residual = rhs - hessian @ x
+                previous, norm = norm, np.linalg.norm(residual)
+                if norm <= target:
+                    return x
+                if not norm <= 0.5 * previous:  # NaN too
+                    break
+        self.lu = None  # dropped before the fresh one is built
+        self.lu = spla.splu(hessian[self.p][:, self.p].tocsc(), permc_spec="NATURAL")
+        self.factorizations += 1
+        return self._lu_solve(rhs)
+
+
+def _newton_direction(f, report, w, kept):
+    """The Newton step on the exact area Hessian, or None if unusable."""
     grid = f.grid
     hessian = colored_stencil_matrix(SecondVariationForm(f, warn=False))
     # residual is -grad/w, so H d = -grad reads H d = w * residual
     rhs = (w * report.residual)[grid.interior_mask].ravel()
-    p = dissection_permutation(grid, f.m)
-    d = np.empty_like(rhs)
     try:
-        d[p] = spla.spsolve(hessian[p][:, p].tocsc(), rhs[p], permc_spec="NATURAL")
+        d = kept.solve(hessian, rhs)
     except RuntimeError:
         return None
     direction = np.zeros_like(f.values)
@@ -186,6 +237,7 @@ def solve_dirichlet(
     areas = [report.total_area]
     newton_iters = 0
     fallback_iters = 0
+    kept = _KeptLU(f.grid, f.m)  # released when the solve returns
 
     def finish(status: str, message: str = "") -> SolveOutcome:
         # report always belongs to the current f
@@ -195,6 +247,7 @@ def solve_dirichlet(
             status=status,
             iterations=newton_iters,
             fallback_iterations=fallback_iters,
+            factorizations=kept.factorizations,
             residual_sup_norm=report.residual_sup_norm,
             residual_l2_norm=report.residual_l2_norm,
             area_history=tuple(areas),
@@ -206,7 +259,7 @@ def solve_dirichlet(
         result = None
         if newton_iters < cfg.max_newton_iters:
             newton_iters += 1
-            direction = _newton_direction(f, report, w)
+            direction = _newton_direction(f, report, w, kept)
             if direction is not None:
                 result = _line_search(f, direction, areas[-1], report, w)
         elif fallback_iters < cfg.max_fallback_iters:

@@ -75,6 +75,29 @@ def test_newton_matrix_matches_central_difference_of_gradient(n, m, monkeypatch)
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
 
+# (n, m) -> Newton iterations from the random map itself, as solved by a fresh LU every step
+BEFORE = {(1, 1): 5, (1, 2): 11, (1, 3): 8, (2, 1): 8, (3, 1): 6}
+
+
+@pytest.mark.parametrize("n,m", sorted(BEFORE))
+def test_one_dimensional_and_scalar_boxes_behave_as_before(monkeypatch, n, m):
+    f = smooth_map(n, m, 10 * n + m)
+    out = solve_dirichlet(f, init=f)
+    assert (out.status, out.iterations, out.fallback_iterations) == ("converged", BEFORE[n, m], 0)
+    assert 1 <= out.factorizations < out.iterations
+
+    solve = solver._KeptLU.solve
+
+    def fresh_every_step(kept, hessian, rhs):
+        kept.lu = None
+        return solve(kept, hessian, rhs)
+
+    monkeypatch.setattr(solver._KeptLU, "solve", fresh_every_step)
+    fresh = solve_dirichlet(f, init=f)
+    assert (fresh.status, fresh.iterations, fresh.factorizations) == ("converged", BEFORE[n, m], BEFORE[n, m])
+    assert np.abs(out.solution.values - fresh.solution.values).max() <= 1e-12
+
+
 def test_jacobian_fd_step_is_an_unknown_key(tmp_path):
     doc = {
         "command": "solve",

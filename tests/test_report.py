@@ -98,8 +98,8 @@ def _key_paths(obj, prefix=""):
 
 
 _OUTCOME = [
-    "area_history", "converged", "fallback_iterations", "init_hash", "iterations", "message",
-    "residual_l2_norm", "residual_sup_norm", "status",
+    "area_history", "converged", "factorizations", "fallback_iterations", "init_hash", "iterations",
+    "message", "residual_l2_norm", "residual_sup_norm", "status",
 ]
 _CRITERIA = [
     "applicable", "dd_verdict", "dimension_bound", "minimal", "notes", "rank_bound",
