@@ -11,7 +11,6 @@ Every sparse LU of these matrices is ordered by ``dissection_permutation``.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,10 +51,8 @@ def hessian_matrix(form) -> sp.csr_matrix:
     """The Hessian of a ``SecondVariationForm`` as a CSR matrix on the interior dofs.
 
     Built from ``form.node_blocks()``: every pair of interior nodes within Chebyshev
-    distance one that differ in at most two coordinates carries its m x m block. A
-    corner Jacobian couples no other pairs, so this is the true stencil: 3^n offsets
-    for n <= 2, 19 of the 27 for n = 3. Degrees of freedom are ordered node-major,
-    components fastest.
+    distance one carries its m x m block, so the pattern is the full 3^n stencil.
+    Degrees of freedom are ordered node-major, components fastest.
     """
     import scipy.sparse as sp  # loaded on first use: the chain algebra needs no scipy
 
@@ -64,11 +61,9 @@ def hessian_matrix(form) -> sp.csr_matrix:
     rank = np.full(grid.counts, -1, dtype=np.int32)
     rank[grid.interior_mask] = np.arange(np.count_nonzero(grid.interior_mask))
     # rank of each interior node's neighbours, offsets in lexicographic order; pairs with a
-    # boundary node (rank -1), and offsets moving more than two coordinates, whose blocks
-    # are exact zeros, are dropped before their blocks are expanded
+    # boundary node (rank -1) are dropped before their blocks are expanded
     neighbour = sliding_window_view(rank, (3,) * grid.n).reshape(-1, 3**grid.n)
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=grid.n)))
-    keep = (neighbour >= 0) & (np.count_nonzero(offsets, axis=1) <= 2)
+    keep = neighbour >= 0
     inner = blocks[(Ellipsis,) + (slice(1, -1),) * grid.n].reshape(blocks.shape[:3] + (-1,))
     data = np.moveaxis(inner, -1, 0)[keep]
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))

@@ -13,8 +13,10 @@ Boundary values never change, bit for bit.
 A solve keeps the sparse LU of the last Newton matrix it factored. Every
 later Newton system, on its own exact Hessian, is solved by iterative
 refinement on that LU to a residual of ``REFINE_TOL`` times the right-hand
-side, so the direction stays the exact Newton one; only when refinement
-stalls is the new Hessian factored afresh (``SolveOutcome.factorizations``).
+side: an inexact Newton method with forcing term ``REFINE_TOL``, whose
+direction can differ from a direct solve's by up to cond(H) times
+``REFINE_TOL`` relative. Only when refinement stalls is the new Hessian
+factored afresh (``SolveOutcome.factorizations``).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ BACKTRACK_FACTOR = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 40
 # refinement on the kept LU: relative residual that ends it, and the steps it may take
-# before the Newton matrix is factored afresh (as it is at once when a step fails to
-# halve the residual)
+# before the Newton matrix is factored afresh (as it is sooner when a step fails to
+# halve the residual, or the rate seen so far cannot reach REFINE_TOL in time)
 REFINE_TOL = 1e-12
 MAX_REFINE_STEPS = 10
 
@@ -126,12 +128,19 @@ class _KeptLU:
 
     ``solve`` refines x <- x + LU^-1 (rhs - H x) from x = 0, the residual taken
     by H's own natural-order matvec, until it is at most ``REFINE_TOL`` times
-    rhs. A step that fails to halve the residual, or ``MAX_REFINE_STEPS`` run
+    rhs. A step that fails to halve the residual, a rate of contraction that
+    cannot reach that target within ``MAX_REFINE_STEPS``, or those steps run
     out, drops the kept LU and factors H afresh in dissection order; that LU
     is kept in its place.
     """
 
     def __init__(self, grid, m):
+        # loaded on first use, as the chain algebra needs no scipy, but before the first
+        # Hessian is assembled: imported after it, scipy.sparse.linalg cost a uniqueness-2d
+        # run about 2,600 more minor page faults (glibc malloc, Python 3.11)
+        import scipy.sparse.linalg as spla
+
+        self.splu = spla.splu
         self.p = dissection_permutation(grid, m)
         self.lu = None
         self.factorizations = 0
@@ -143,23 +152,24 @@ class _KeptLU:
 
     def solve(self, hessian, rhs):
         """H^-1 rhs; raises RuntimeError if H is factored and exactly singular."""
-        import scipy.sparse.linalg as spla  # loaded on first use: the chain algebra needs no scipy
-
         if self.lu is not None:
             x = np.zeros_like(rhs)
             residual = rhs
             norm = np.linalg.norm(rhs)
             target = REFINE_TOL * norm
-            for _ in range(MAX_REFINE_STEPS):
+            for left in range(MAX_REFINE_STEPS - 1, -1, -1):
                 x = x + self._lu_solve(residual)
                 residual = rhs - hessian @ x
                 previous, norm = norm, np.linalg.norm(residual)
                 if norm <= target:
                     return x
-                if not norm <= 0.5 * previous:  # NaN too
+                rate = norm / previous
+                # a step that fails to halve the residual, or a rate that cannot reach the
+                # target in the steps left, ends it (NaN too)
+                if not (rate <= 0.5 and norm * rate**left <= target):
                     break
         self.lu = None  # dropped before the fresh one is built
-        self.lu = spla.splu(hessian[self.p][:, self.p].tocsc(), permc_spec="NATURAL")
+        self.lu = self.splu(hessian[self.p][:, self.p].tocsc(), permc_spec="NATURAL")
         self.factorizations += 1
         return self._lu_solve(rhs)
 

@@ -28,11 +28,9 @@ def dense_oracle(form):
 
 
 def stencil_pattern(grid, m):
-    """Every pair of interior nodes within Chebyshev distance one that differ in at most
-    two coordinates, times m x m components."""
+    """Every pair of interior nodes within Chebyshev distance one, times m x m components."""
     nodes = np.argwhere(grid.interior_mask)
-    delta = np.abs(nodes[:, None, :] - nodes[None, :, :])
-    near = (delta.max(axis=-1) <= 1) & (np.count_nonzero(delta, axis=-1) <= 2)
+    near = np.abs(nodes[:, None, :] - nodes[None, :, :]).max(axis=-1) <= 1
     return np.kron(near, np.ones((m, m), dtype=bool))
 
 

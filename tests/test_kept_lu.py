@@ -101,3 +101,30 @@ def test_stalled_refinement_falls_back_to_one_fresh_factorization(monkeypatch):
         unforced.converged,
     )
     assert np.array_equal(forced.solution.values, unforced.solution.values)
+
+
+@pytest.mark.parametrize(
+    "scale, lu_solves, factorizations",
+    [(0.995, 6, 0), (0.9, 1, 1)],
+    ids=["rate-5e-3-refines", "rate-1e-1-factors"],
+)
+def test_refinement_factors_afresh_once_its_rate_cannot_reach_the_target(scale, lu_solves, factorizations):
+    # the LU of H / scale contracts the residual by 1 - scale per step: 5e-3 reaches
+    # REFINE_TOL in 6 steps, 1e-1 would need 12 of the 10, so its first step ends it
+    grid = build_grid(2, [(0.0, 1.0)] * 2, (6, 5))
+    f = random_smooth_map(grid, 2, np.random.default_rng(5), amplitude=0.3)
+    H = hessian_matrix(SecondVariationForm(f, warn=False))
+    kept = solver._KeptLU(grid, 2)
+    scaled_lu = spla.splu((H / scale)[kept.p][:, kept.p].tocsc(), permc_spec="NATURAL")
+    solves = []
+
+    class Counted:
+        def solve(self, b):
+            solves.append(None)
+            return scaled_lu.solve(b)
+
+    kept.lu = Counted()
+    rhs = np.random.default_rng(6).standard_normal(H.shape[0])
+    d = kept.solve(H, rhs)
+    assert (len(solves), kept.factorizations) == (lu_solves, factorizations)
+    assert np.linalg.norm(rhs - H @ d) <= solver.REFINE_TOL * np.linalg.norm(rhs)
