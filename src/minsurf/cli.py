@@ -40,7 +40,7 @@ from .homotopy import (
 )
 from .report import emit_plot_data, sha256_file, to_jsonable, write_report
 from .serialize import save_map
-from .solver import continuation_solve, solve_dirichlet
+from .solver import _KeptLU, continuation_solve, solve_dirichlet
 from .variation import SecondVariationForm, VariationField, first_variation, stability_index
 
 EXIT_OK = 0
@@ -61,9 +61,9 @@ def _sample_endpoint(spec: MapSpec, grid, cfg: RunConfig, rng) -> GridMap:
     return f
 
 
-def _stability(f: GridMap, cfg: RunConfig, failures: list, where: str = ""):
+def _stability(f: GridMap, cfg: RunConfig, failures: list, where: str = "", kept=None):
     """Stability index of f, not judging minimality; an undetermined verdict is a failure."""
-    st = stability_index(f, cfg.stability, warn=False)
+    st = stability_index(f, cfg.stability, warn=False, kept=kept)
     if st.verdict == "undetermined":
         detail = f"in {st.iterations} iterations (residual {st.eigen_residual:.3e})"
         reason = "eigenvalue count not certified" if st.converged else f"eigen-solve did not converge {detail}"
@@ -71,7 +71,7 @@ def _stability(f: GridMap, cfg: RunConfig, failures: list, where: str = ""):
     return st
 
 
-def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list, fields: dict):
+def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list, fields: dict, kept=None):
     spectrum = singular_spectrum(jacobian(f))
     results["spectrum"] = {
         "sup_lambda_max": spectrum.sup_lambda_max("interior"),
@@ -84,7 +84,7 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
     fields["residual"] = area.residual
     stability = None
     if cfg.stability.enabled:
-        stability = _stability(f, cfg, failures)
+        stability = _stability(f, cfg, failures, kept=kept)
         results["stability"] = stability.summary()
         fields["eigenvector"] = stability.eigenvector
     verdict = criteria_report(
@@ -103,13 +103,14 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
 def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
     grid = cfg.grid.build()
     boundary = cfg.boundary.sample(grid)
-    outcome = solve_dirichlet(boundary, cfg=cfg.solver)
+    kept = _KeptLU(grid, boundary.m)  # Newton's last LU, which the stability check may iterate on
+    outcome = solve_dirichlet(boundary, cfg=cfg.solver, kept=kept)
     results["solve"] = outcome.summary()
     fields["solution"] = outcome.solution
     if not outcome.converged:
         failures.append(f"solver did not converge: {outcome.status}")
         return EXIT_OPERATIONAL
-    _analysis_sections(outcome.solution, cfg, results, failures, fields)
+    _analysis_sections(outcome.solution, cfg, results, failures, fields, kept)
     return EXIT_OPERATIONAL if failures else EXIT_OK
 
 

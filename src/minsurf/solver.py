@@ -126,6 +126,12 @@ def harmonic_extension(boundary: GridMap) -> GridMap:
 class _KeptLU:
     """The sparse LU of the last Newton matrix factored in one solve.
 
+    ``lu`` factors that Hessian in the order ``p`` (``dissection_permutation``)
+    and is None until the first Newton step. It lives as long as its holder: a
+    ``solve_dirichlet`` that made it releases it on return, while the ``solve``
+    command of ``minsurf run`` makes it, hands it to the solve and then to
+    ``stability_index``, whose iteration may run on it.
+
     ``solve`` refines x <- x + LU^-1 (rhs - H x) from x = 0, the residual taken
     by H's own natural-order matvec, until it is at most ``REFINE_TOL`` times
     rhs. A step that fails to halve the residual, a rate of contraction that
@@ -222,6 +228,7 @@ def solve_dirichlet(
     boundary: GridMap,
     init: GridMap | None = None,
     cfg: SolverConfig | None = None,
+    kept: _KeptLU | None = None,
 ) -> SolveOutcome:
     """Solve the Dirichlet problem for the minimal surface system.
 
@@ -229,6 +236,8 @@ def solve_dirichlet(
     seed nothing); ``init`` defaults to the harmonic extension and must agree
     with the boundary data exactly on boundary nodes. Non-convergence is
     reported in the outcome, not raised, so amplitude sweeps can continue.
+    Newton keeps its LU in ``kept``, a new ``_KeptLU`` of the boundary's grid,
+    made here when not given.
     """
     cfg = cfg or SolverConfig()
     if init is None:
@@ -247,7 +256,8 @@ def solve_dirichlet(
     areas = [report.total_area]
     newton_iters = 0
     fallback_iters = 0
-    kept = _KeptLU(f.grid, f.m)  # released when the solve returns
+    if kept is None:
+        kept = _KeptLU(f.grid, f.m)  # released when the solve returns
 
     def finish(status: str, message: str = "") -> SolveOutcome:
         # report always belongs to the current f

@@ -40,6 +40,8 @@ from .report import Summarized
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+    from .solver import _KeptLU
+
 __all__ = [
     "VariationField",
     "StabilityReport",
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_MINIMAL_TOL = 1e-8
+_CONVEXITY_CHUNK = 4096  # corners per slab of the convexity test
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,11 @@ class SecondVariationForm:
         B = corner_jacobians(_as_values(V), self.grid)
         return float(self._wc * np.sum(self._sqrtg * self._JGi * B))
 
-    def _corner_terms(self, B: np.ndarray):
-        """M = J^T B + B^T J and tr(G^-1 M) = 2 <J G^-1, B> per corner."""
-        M = small_matmul(self._J.swapaxes(0, 1), B)
+    def _corner_terms(self, B: np.ndarray, part=(Ellipsis,)):
+        """M = J^T B + B^T J and tr(G^-1 M) = 2 <J G^-1, B> per corner, on the cells ``part``."""
+        M = small_matmul(self._J[part].swapaxes(0, 1), B)
         M = M + M.swapaxes(0, 1)
-        return M, 2.0 * np.sum(self._JGi * B, axis=(0, 1))
+        return M, 2.0 * np.sum(self._JGi[part] * B, axis=(0, 1))
 
     def quadratic(self, V: VariationField | np.ndarray) -> float:
         """Exact d2/dt2 of the discrete area along f + tV at t = 0."""
@@ -150,17 +153,19 @@ class SecondVariationForm:
 
     # -- operator form ----------------------------------------------------
 
-    def _flux(self, B: np.ndarray) -> np.ndarray:
-        """Corner flux of H along the corner Jacobian B, per corner K_c B.
+    def _flux(self, B: np.ndarray, part=(Ellipsis,)) -> np.ndarray:
+        """Corner flux of H along the corner Jacobian B, per corner K_c B, on the cells ``part``.
 
         K_c is the Hessian of sqrt det(I + J^T J) in J, and
         K_c B = sqrt(g) [(B - J G^-1 M) G^-1 + 1/2 tr(G^-1 M) J G^-1].
+        ``part`` indexes the trailing cell axes of every corner array.
         """
-        M, tau = self._corner_terms(B)
+        M, tau = self._corner_terms(B, part)
+        JGi = self._JGi[part]
         # (B - J G^-1 M) G^-1 = B G^-1 - J G^-1 M G^-1
-        flux = small_matmul(B - small_matmul(self._JGi, M), self._Ginv)
-        flux += 0.5 * tau * self._JGi
-        flux *= self._sqrtg
+        flux = small_matmul(B - small_matmul(JGi, M), self._Ginv[part])
+        flux += 0.5 * tau * JGi
+        flux *= self._sqrtg[part]
         return flux
 
     def hessian_values(self, Vvals: np.ndarray) -> np.ndarray:
@@ -176,11 +181,13 @@ class SecondVariationForm:
         the k-th offset of {-1, 0, 1}^n in lexicographic order. K_c is applied to one unit
         corner field E_bj at a time; the edge leaving corner nu along axis i touches, at
         its end s, the node nu with entry i set to s, and differences with sign +-1/h_i.
+        Columns that ``corners_convex`` kept are consumed: they are freed on return.
         """
         n, m, h = self.grid.n, self.m, self.grid.spacings
         cells = cell_counts(self.grid)
         blocks = np.zeros((3**n, m, m) + self.grid.counts)
-        for (b, j), column in zip(itertools.product(range(m), range(n)), self._hessian_columns()):
+        columns, self._kept_columns = self._hessian_columns(), None
+        for (b, j), column in zip(itertools.product(range(m), range(n)), columns):
             for c, nu in enumerate(corner_offsets(n)):
                 for i in range(n):
                     k_ij = (self._wc / (h[i] * h[j])) * column[:, i, c]
@@ -191,6 +198,11 @@ class SecondVariationForm:
                         (np.add if s == t else np.subtract)(target, k_ij, out=target)
         return blocks
 
+    def _unit_fields(self) -> np.ndarray:
+        """The mn unit corner fields E_bj in (b, j) order, broadcasting over corners."""
+        mn, n = self.m * self.grid.n, self.grid.n
+        return np.eye(mn).reshape((mn, self.m, n) + (1,) * (n + 1))
+
     def _hessian_columns(self):
         """K_c E_bj for each unit corner field E_bj in (b, j) order, entries (a, i) per corner.
 
@@ -198,27 +210,32 @@ class SecondVariationForm:
         """
         if self._kept_columns is not None:
             return self._kept_columns
-        mn, n = self.m * self.grid.n, self.grid.n
-        return (self._flux(unit) for unit in np.eye(mn).reshape((mn, self.m, n) + (1,) * (n + 1)))
+        return (self._flux(unit) for unit in self._unit_fields())
 
     def corners_convex(self) -> bool:
         """Whether every corner Hessian K_c is positive definite, which makes H positive semidefinite.
 
-        Keeps the columns of K_c, so a later ``node_blocks`` applies no flux again.
-        Newton assembles without this test and never holds them all at once.
+        Builds the columns of K_c and keeps them, so a later ``node_blocks`` applies no flux
+        again. It works in slabs of whole cell planes along the first axis, about
+        ``_CONVEXITY_CHUNK`` corners each, so the flux temporaries and the Cholesky copies
+        stay small. Newton assembles without this test and never holds the columns at once.
         """
-        mn = self.m * self.grid.n
-        if self._kept_columns is None:
-            columns = np.empty((mn,) + self._J.shape)
-            for column, flux in zip(columns, self._hessian_columns()):
-                column[...] = flux
-            self._kept_columns = columns
-        K = self._kept_columns.reshape(mn, mn, -1).T  # per corner, [(a, i), (b, j)]
-        try:
-            np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        mn, n = self.m * self.grid.n, self.grid.n
+        columns, units = np.empty((mn,) + self._J.shape), self._unit_fields()
+        planes = max(1, _CONVEXITY_CHUNK // self._sqrtg[:, 0].size)  # per slab
+        convex = True
+        for start in range(0, self._J.shape[3], planes):
+            part = (Ellipsis, slice(start, start + planes)) + (slice(None),) * (n - 1)
+            for column, unit in zip(columns, units):
+                column[part] = self._flux(unit, part)
+            K = columns[(slice(None),) + part].reshape(mn, mn, -1).T  # per corner, [(a, i), (b, j)]
+            if convex:
+                try:
+                    np.linalg.cholesky(K)
+                except np.linalg.LinAlgError:
+                    convex = False
+        self._kept_columns = columns
+        return convex
 
     def apply_values(self, Vvals: np.ndarray) -> np.ndarray:
         """H V / w as a nodal array; <W, HV>_w equals the polarized quadratic form."""
@@ -270,6 +287,7 @@ class StabilityReport(Summarized):
     epsilon: float
     converged: bool
     iterations: int
+    factorizations: int  # sparse LUs made: 0 on the solve's kept LU, else 1 plus the bisection steps
     eigen_residual: float
 
 
@@ -314,60 +332,87 @@ def _factor(S: sp.csr_matrix, B_diag: np.ndarray, sigma: float, definite: bool =
     return lu, int(np.count_nonzero(pivots < 0)) if certified else None
 
 
-def _smallest_eigenpair(S: sp.csr_matrix, B_diag: np.ndarray, epsilon: float, cfg: EigenConfig, convex: bool):
-    """Block inverse iteration with the previous block in the Rayleigh-Ritz space (LOBPCG-style).
+def _smallest_eigenpair(
+    S: sp.csr_matrix, B_diag: np.ndarray, epsilon: float, cfg: EigenConfig, convex: bool, kept: _KeptLU | None
+):
+    """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the pencil S v = theta B v with an exact or kept LU.
 
-    It runs on the pencil S v = theta B v at one certified, fixed shift.
     The count k of eigenvalues below -epsilon (the Morse index, None when not
     certified) comes from factoring S + epsilon B; it is 0 without a count when
     every corner Hessian is positive definite (``convex``), since then S is
-    positive semidefinite. With k = 0 the iteration runs on that LU; otherwise
-    the shift is bisected on inertia between a Gershgorin lower bound and
-    -epsilon until a shift with no eigenvalue below it lies within
-    0.1 (1 + |sigma|) of one with some, and runs on its LU. A block of 4 handles
-    clustered bottom eigenvalues (the flat operator has one copy of the spectrum
-    per target component). Each step solves with the current block and takes
-    the lowest 4 Ritz pairs from the span of those solves and the previous
-    block, made B-orthonormal by a Householder QR, which stays orthonormal as
-    the two blocks align. That is LOBPCG's "previous direction" (Knyazev, SIAM
-    J. Sci. Comput. 23, 2001) with the exact shift-inverse as preconditioner;
-    the first step has no previous block.
+    positive semidefinite. A convex map iterates on ``kept.lu``, the solve's LU
+    of a nearby Hessian in the same dissection order, if one probe shows that it
+    inverts S: with W = B X_0, ||S LU^-1 W - W||_F <= ||W||_F / 2. Otherwise it
+    iterates on the LU of S + epsilon B when k = 0; else the shift is bisected on
+    inertia between a Gershgorin lower bound and -epsilon until a shift with no
+    eigenvalue below it lies within 0.1 (1 + |sigma|) of one with some, and it
+    iterates on that LU. The LU changes only the number of steps: theta, the
+    residual test and k come from S, B and the corner test alone.
+
+    A block of 4 handles clustered bottom eigenvalues (the flat operator has
+    one copy of the spectrum per target component). The first Rayleigh-Ritz
+    space is the span of LU^-1 B X_0 alone; every later one is
+    [X_k, LU^-1 R_k, X_{k-1}] with R_k = S X_k - B X_k Theta_k, held in one
+    preallocated buffer and made B-orthonormal by a Householder QR of its
+    columns scaled by sqrt(B), which stays orthonormal as the blocks align. The
+    lowest 4 Ritz pairs are the next block. Also returns the number of
+    factorizations made.
     """
     sb = np.sqrt(B_diag)
-    lu, morse = _factor(S, B_diag, -epsilon, definite=convex)
-    if morse != 0:
-        lower = _gershgorin_lower_bound(S, B_diag)
-        lo, hi = lower - 1e-2 * (abs(lower) + 1.0), -epsilon
-        while True:
-            sigma = 0.5 * (lo + hi)
-            lu, count = _factor(S, B_diag, sigma)
-            if count != 0:
-                hi = sigma
-            elif hi - sigma <= 0.1 * (1.0 + abs(sigma)):
-                break
-            else:
-                lo = sigma
     block = min(4, sb.size)
     X = np.random.default_rng(cfg.seed).standard_normal((sb.size, block))
-    previous = X[:, :0]  # the first iterate has no previous block
+    W = B_diag[:, None] * X
+    lu, morse, factorizations = None, 0, 0
+    if convex and kept is not None and kept.lu is not None:
+        Y = kept.lu.solve(W)
+        if np.linalg.norm(S.dot(Y) - W) <= 0.5 * np.linalg.norm(W):  # NaN fails
+            lu = kept.lu
+    if lu is None:
+        lu, morse = _factor(S, B_diag, -epsilon, definite=convex)
+        factorizations = 1
+        if morse != 0:
+            lower = _gershgorin_lower_bound(S, B_diag)
+            lo, hi = lower - 1e-2 * (abs(lower) + 1.0), -epsilon
+            while True:
+                sigma = 0.5 * (lo + hi)
+                lu, count = _factor(S, B_diag, sigma)
+                factorizations += 1
+                if count != 0:
+                    hi = sigma
+                elif hi - sigma <= 0.1 * (1.0 + abs(sigma)):
+                    break
+                else:
+                    lo = sigma
+        Y = lu.solve(W)
+    space = np.empty((sb.size, 3 * block))  # sqrt(B) [X_k, LU^-1 R_k, X_{k-1}]
+    np.multiply(sb[:, None], Y, out=space[:, :block])
+    width = block  # the first space holds the solves alone
+    del W, Y  # the kept LU may be alive: hold no n-row array longer than needed
     history: list[float] = []
     for it in range(1, cfg.max_iters + 1):  # max_iters >= 1 sets theta, resid and it
-        Q, _ = np.linalg.qr(sb[:, None] * np.hstack((lu.solve(B_diag[:, None] * X), previous)))
-        Z = Q / sb[:, None]  # B-orthonormal basis of the new block and the previous one
+        Z, _ = np.linalg.qr(space[:, :width])
+        Z /= sb[:, None]  # B-orthonormal basis of the space
         SZ = S.dot(Z)
         ritz_vals, U = np.linalg.eigh(Z.T @ SZ)
         U = U[:, :block]
         previous, X, theta = X, Z @ U, float(ritz_vals[0])
         history.append(theta)
-        r = SZ @ U[:, 0] - theta * (B_diag * X[:, 0])
-        resid = float(np.sqrt(np.sum(r * r / B_diag)))
+        R = SZ @ U - B_diag[:, None] * X * ritz_vals[:block]
+        del SZ  # freed before the next step builds its own
+        resid = float(np.sqrt(np.sum(R[:, 0] ** 2 / B_diag)))
         # absolute residual contract in the weighted norm, ||v||_B = 1
         if resid <= cfg.tol:
             break
-    return theta, X[:, 0], history, resid <= cfg.tol, it, resid, morse
+        np.multiply(sb[:, None], X, out=space[:, :block])
+        np.multiply(sb[:, None], lu.solve(R), out=space[:, block : 2 * block])
+        np.multiply(sb[:, None], previous, out=space[:, 2 * block :])
+        width = 3 * block
+    return theta, X[:, 0], history, resid <= cfg.tol, it, resid, morse, factorizations
 
 
-def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = True) -> StabilityReport:
+def stability_index(
+    f: GridMap, cfg: EigenConfig | None = None, warn: bool = True, kept: _KeptLU | None = None
+) -> StabilityReport:
     """Smallest eigenvalue of the second-variation form over interior variations.
 
     The verdict uses the band epsilon = 1e-8 * median weighted diagonal:
@@ -378,6 +423,13 @@ def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = Tru
     the count is not certified; a Morse index that disagrees with the
     converged eigenvalue raises ContradictionDetected.
     With ``warn``, one residual sweep warns if f is not minimal.
+
+    ``kept`` is the ``solver._KeptLU`` that a ``solve_dirichlet`` of f filled.
+    On a corner-convex map the eigen-solve iterates on its LU if that passes a
+    one-block probe, and then factors nothing (``factorizations`` 0);
+    otherwise it factors S + epsilon B as it does without ``kept``. The LU
+    changes only the iteration count, never the residual test, the verdict or
+    the Morse index.
     """
     cfg = cfg or EigenConfig()
     if warn:
@@ -389,7 +441,9 @@ def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = Tru
     perm = dissection_permutation(f.grid, f.m)
     S, B_diag = S[perm][:, perm], B_diag[perm]  # every LU factors in the dissection order
     epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B_diag)))
-    theta, v, history, converged, iters, resid, morse = _smallest_eigenpair(S, B_diag, epsilon, cfg, convex)
+    theta, v, history, converged, iters, resid, morse, factorizations = _smallest_eigenpair(
+        S, B_diag, epsilon, cfg, convex, kept
+    )
     if converged and morse is not None and (theta < -epsilon) != (morse > 0):
         raise ContradictionDetected(
             f"stability eigenvalue {theta:.6e} contradicts {morse} eigenvalues counted below {-epsilon:.3e}"
@@ -413,5 +467,6 @@ def stability_index(f: GridMap, cfg: EigenConfig | None = None, warn: bool = Tru
         epsilon=epsilon,
         converged=converged,
         iterations=iters,
+        factorizations=factorizations,
         eigen_residual=resid,
     )

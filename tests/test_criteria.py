@@ -198,6 +198,7 @@ def test_contradiction_detected_on_inconsistent_inputs(unit_square):
         epsilon=1e-8,
         converged=True,
         iterations=1,
+        factorizations=1,
         eigen_residual=0.0,
     )
     with pytest.raises(ContradictionDetected):

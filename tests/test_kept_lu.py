@@ -1,11 +1,18 @@
-"""Newton refines on the sparse LU it keeps and factors afresh only when refinement stalls."""
+"""Newton refines on the sparse LU it keeps and factors afresh only when refinement stalls.
+
+The stability check of a corner-convex map iterates on that LU when a probe shows it inverts
+the stability operator, and factors its own otherwise.
+"""
+
+import json
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from minsurf import SecondVariationForm, build_grid, solve_dirichlet, solver
+from minsurf import SecondVariationForm, build_grid, solve_dirichlet, solver, stability_index
 from minsurf.assembly import dissection_permutation, hessian_matrix
+from minsurf.cli import main
 from minsurf.families import holomorphic_power_map, random_smooth_map
 
 
@@ -128,3 +135,81 @@ def test_refinement_factors_afresh_once_its_rate_cannot_reach_the_target(scale, 
     d = kept.solve(H, rhs)
     assert (len(solves), kept.factorizations) == (lu_solves, factorizations)
     assert np.linalg.norm(rhs - H @ d) <= solver.REFINE_TOL * np.linalg.norm(rhs)
+
+
+def solved_with_kept_lu(n, size, amplitude):
+    boundary = holomorphic(n, size, amplitude)
+    kept = solver._KeptLU(boundary.grid, boundary.m)
+    out = solve_dirichlet(boundary, kept=kept)
+    assert out.converged and kept.lu is not None
+    return out.solution, kept
+
+
+def assert_same_verdict(rep, own, rtol):
+    assert rep.converged and own.converged
+    assert abs(rep.min_eigenvalue - own.min_eigenvalue) <= rtol * abs(own.min_eigenvalue)
+    assert (rep.verdict, rep.morse_index) == (own.verdict, own.morse_index)
+
+
+@pytest.mark.parametrize("n, size", [(2, 97), (3, 17)], ids=["97^2", "17^3"])  # the solve workload maps
+def test_stability_on_the_kept_lu_equals_stability_on_its_own_lu(monkeypatch, n, size):
+    f, kept = solved_with_kept_lu(n, size, 0.3)
+    splu_calls = counted_splu(monkeypatch)
+    rep = stability_index(f, warn=False, kept=kept)
+    assert rep.factorizations == len(splu_calls) == 0
+    own = stability_index(f, warn=False)
+    assert own.factorizations == len(splu_calls) == 1
+    assert_same_verdict(rep, own, 1e-12)
+    assert rep.iterations <= own.iterations
+
+
+def test_a_kept_lu_of_an_unrelated_map_fails_the_probe(monkeypatch):
+    # the LU kept by the s = 6 solve inverts the s = 0.3 map's operator badly
+    # (||S LU^-1 W - W||_F / ||W||_F is about 28), so stability factors its own
+    f, _ = solved_with_kept_lu(2, 17, 0.3)
+    _, unrelated = solved_with_kept_lu(2, 17, 6.0)
+    splu_calls = counted_splu(monkeypatch)
+    rep = stability_index(f, warn=False, kept=unrelated)
+    assert rep.factorizations == len(splu_calls) == 1
+    own = stability_index(f, warn=False)
+    assert rep.summary() == own.summary()
+    assert np.array_equal(rep.eigenvector.values, own.eigenvector.values)
+
+
+def test_a_non_convex_map_never_iterates_on_the_kept_lu(monkeypatch):
+    # the solve's own LU would pass the probe here; the corner test alone refuses it
+    f, kept = solved_with_kept_lu(2, 17, 6.0)
+    assert not SecondVariationForm(f, warn=False).corners_convex()
+    kept_solves = []
+    lu = kept.lu
+
+    class Counted:
+        def solve(self, b):
+            kept_solves.append(None)
+            return lu.solve(b)
+
+    kept.lu = Counted()
+    splu_calls = counted_splu(monkeypatch)
+    rep = stability_index(f, warn=False, kept=kept)
+    assert kept_solves == []
+    assert rep.factorizations == len(splu_calls) >= 1
+    assert rep.summary() == stability_index(f, warn=False).summary()
+
+
+def test_the_solve_command_factors_once_on_a_corner_convex_map(monkeypatch, tmp_path):
+    # the solve-3d workload: Newton's one factorization serves the stability check too
+    config = {
+        "command": "solve",
+        "seed": 41000,
+        "output_dir": str(tmp_path),
+        "grid": {"extents": [[0.0, 1.0]] * 3, "counts": [17] * 3},
+        "boundary": {"family": "holomorphic_power", "amplitude": 0.3, "power": 3},
+        "stability": {"enabled": True},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    splu_calls = counted_splu(monkeypatch)
+    assert main(["run", str(tmp_path / "config.json")]) == 0
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert len(splu_calls) == results["solve"]["factorizations"] == 1
+    assert results["stability"]["factorizations"] == 0
+    assert results["stability"]["verdict"] == "stable"

@@ -111,7 +111,7 @@ _SPECTRUM = [
     "sup_lambda_max", "sup_lambda_max_closure", "sup_two_jacobian", "sup_two_jacobian_closure"
 ]
 _STABILITY = [
-    "converged", "eigen_residual", "epsilon", "iterations", "min_eigenvalue",
+    "converged", "eigen_residual", "epsilon", "factorizations", "iterations", "min_eigenvalue",
     "morse_index", "rayleigh_history", "verdict",
 ]
 _PROFILE = [

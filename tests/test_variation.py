@@ -283,6 +283,29 @@ def test_stability_index_matches_dense_eigh(build, max_iterations):
     assert rep.morse_index == np.count_nonzero(spectrum < -rep.epsilon)
 
 
+@pytest.mark.parametrize(
+    "build,previous_block_iterations",
+    [
+        (lambda: solved_holomorphic(13, 5.0), 13),
+        (lambda: solved_holomorphic(17, 6.0), 11),
+        (lambda: solved_holomorphic(21, 4.5), 11),
+        (
+            lambda: random_smooth_map(
+                build_grid(2, [(0, 1), (0, 1)], (15, 15)), 2, np.random.default_rng(2), amplitude=3.0
+            ),
+            7,
+        ),
+        (lambda: GridMap.constant(build_grid(3, [(0, 1)] * 3, (5, 4, 6)), [0.0] * 3), 21),
+    ],
+    ids=["holomorphic-13-5", "holomorphic-17-6", "holomorphic-21-4.5", "indefinite", "flat-box-m3"],
+)
+def test_residual_in_the_space_takes_no_more_iterations(build, previous_block_iterations):
+    # the caps are the counts of the Rayleigh-Ritz space [LU^-1 B X_k, X_{k-1}],
+    # which holds neither X_k nor the residual
+    rep = stability_index(build(), warn=False)
+    assert rep.converged and rep.iterations <= previous_block_iterations
+
+
 @given(
     counts=st.lists(st.integers(3, 7), min_size=1, max_size=3),
     m=st.integers(1, 3),
@@ -327,12 +350,13 @@ def test_corner_convexity_of_solved_maps(amplitude, convex, monkeypatch):
 
 
 def test_corner_hessian_is_built_once_per_stability_index(monkeypatch):
-    # the convexity test and the assembly share the m n corner flux columns
+    # the convexity test and the assembly share the m n corner flux columns; the 4^3
+    # cells of this grid are one slab of the convexity test
     real, calls = SecondVariationForm._flux, []
 
-    def counting(self, B):
+    def counting(self, B, *part):
         calls.append(B.shape)
-        return real(self, B)
+        return real(self, B, *part)
 
     monkeypatch.setattr(SecondVariationForm, "_flux", counting)
     grid = build_grid(3, [(0.0, 1.0)] * 3, (5, 5, 5))
