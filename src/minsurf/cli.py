@@ -40,7 +40,7 @@ from .homotopy import (
 )
 from .report import emit_plot_data, sha256_file, to_jsonable, write_report
 from .serialize import save_map
-from .solver import _KeptLU, continuation_solve, solve_dirichlet
+from .solver import _KeptFactor, continuation_solve, solve_dirichlet
 from .variation import SecondVariationForm, VariationField, first_variation, stability_index
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
 def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
     grid = cfg.grid.build()
     boundary = cfg.boundary.sample(grid)
-    kept = _KeptLU(grid, boundary.m)  # Newton's last LU, which the stability check may iterate on
+    kept = _KeptFactor()  # Newton's last factorization, which the stability check may iterate on
     outcome = solve_dirichlet(boundary, cfg=cfg.solver, kept=kept)
     results["solve"] = outcome.summary()
     fields["solution"] = outcome.solution

@@ -10,13 +10,15 @@ accepted by backtracking on the area value. An unusable Newton direction, or
 one whose line search fails, is replaced by the gradient on the same step.
 Boundary values never change, bit for bit.
 
-A solve keeps the sparse LU of the last Newton matrix it factored. Every
-later Newton system, on its own exact Hessian, is solved by iterative
-refinement on that LU to a residual of ``REFINE_TOL`` times the right-hand
-side: an inexact Newton method with forcing term ``REFINE_TOL``, whose
-direction can differ from a direct solve's by up to cond(H) times
-``REFINE_TOL`` relative. Only when refinement stalls is the new Hessian
-factored afresh (``SolveOutcome.factorizations``).
+A solve keeps the factorization (``assembly.Factorization``) of the last
+Newton matrix it factored. Every Newton system, on its own exact Hessian,
+is solved by iterative refinement on that factorization to a residual of
+``REFINE_TOL`` times the right-hand side: an inexact Newton method with
+forcing term ``REFINE_TOL``, whose direction can differ from a direct
+solve's by up to cond(H) times ``REFINE_TOL`` relative. Only when
+refinement stalls is the new Hessian factored afresh
+(``SolveOutcome.factorizations``); the first solve on a fresh factorization
+is refined too, since it does not pivot across its fronts.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .area import discrete_area, minimal_system_residual
-from .assembly import dissection_permutation
+from .assembly import Factorization
 from .assembly import hessian_matrix as colored_stencil_matrix  # the name perfbench's span hook wraps
 from .grid import GridMap
 from .report import Summarized
@@ -50,8 +52,8 @@ STATUS_LINE_SEARCH_STALL = "line_search_stall"
 BACKTRACK_FACTOR = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 40
-# refinement on the kept LU: relative residual that ends it, and the steps it may take
-# before the Newton matrix is factored afresh (as it is sooner when a step fails to
+# refinement on the kept factorization: relative residual that ends it, and the steps it
+# may take before the Newton matrix is factored afresh (as it is sooner when a step fails to
 # halve the residual, or the rate seen so far cannot reach REFINE_TOL in time)
 REFINE_TOL = 1e-12
 MAX_REFINE_STEPS = 10
@@ -123,61 +125,55 @@ def harmonic_extension(boundary: GridMap) -> GridMap:
     return GridMap(grid=grid, values=values)
 
 
-class _KeptLU:
-    """The sparse LU of the last Newton matrix factored in one solve.
+class _KeptFactor:
+    """The factorization of the last Newton matrix factored in one solve.
 
-    ``lu`` factors that Hessian in the order ``p`` (``dissection_permutation``)
-    and is None until the first Newton step. It lives as long as its holder: a
-    ``solve_dirichlet`` that made it releases it on return, while the ``solve``
-    command of ``minsurf run`` makes it, hands it to the solve and then to
-    ``stability_index``, whose iteration may run on it.
+    ``factor`` is None until the first Newton step. It lives as long as its holder: a
+    ``solve_dirichlet`` that made it releases it on return, while the ``solve`` command
+    of ``minsurf run`` makes it, hands it to the solve and then to ``stability_index``,
+    whose iteration may run on it.
 
-    ``solve`` refines x <- x + LU^-1 (rhs - H x) from x = 0, the residual taken
-    by H's own natural-order matvec, until it is at most ``REFINE_TOL`` times
-    rhs. A step that fails to halve the residual, a rate of contraction that
-    cannot reach that target within ``MAX_REFINE_STEPS``, or those steps run
-    out, drops the kept LU and factors H afresh in dissection order; that LU
-    is kept in its place.
+    ``solve`` refines x <- x + F^-1 (rhs - H x) from x = 0 on the kept factorization F,
+    the residual taken by H's own product, until it is at most ``REFINE_TOL`` times rhs.
+    A step that fails to halve the residual, a rate of contraction that cannot reach that
+    target within ``MAX_REFINE_STEPS``, or those steps run out, drops F and factors H
+    afresh; that factorization is kept in its place and refined on in the same way, and
+    its last iterate is returned if that stalls too.
     """
 
-    def __init__(self, grid, m):
-        # loaded on first use, as the chain algebra needs no scipy, but before the first
-        # Hessian is assembled: imported after it, scipy.sparse.linalg cost a uniqueness-2d
-        # run about 2,600 more minor page faults (glibc malloc, Python 3.11)
-        import scipy.sparse.linalg as spla
-
-        self.splu = spla.splu
-        self.p = dissection_permutation(grid, m)
-        self.lu = None
+    def __init__(self):
+        self.factor = None
         self.factorizations = 0
 
-    def _lu_solve(self, b):
-        x = np.empty_like(b)
-        x[self.p] = self.lu.solve(b[self.p])
-        return x
+    def _refine(self, hessian, rhs):
+        """(x, whether it met the target) after refinement on the kept factorization."""
+        x = np.zeros_like(rhs)
+        residual = rhs
+        norm = np.linalg.norm(rhs)
+        target = REFINE_TOL * norm
+        for left in range(MAX_REFINE_STEPS - 1, -1, -1):
+            x = x + self.factor.solve(residual)
+            residual = rhs - hessian @ x
+            previous, norm = norm, np.linalg.norm(residual)
+            if norm <= target:
+                return x, True
+            rate = norm / previous
+            # a step that fails to halve the residual, or a rate that cannot reach the
+            # target in the steps left, ends it (NaN too)
+            if not (rate <= 0.5 and norm * rate**left <= target):
+                break
+        return x, False
 
     def solve(self, hessian, rhs):
         """H^-1 rhs; raises RuntimeError if H is factored and exactly singular."""
-        if self.lu is not None:
-            x = np.zeros_like(rhs)
-            residual = rhs
-            norm = np.linalg.norm(rhs)
-            target = REFINE_TOL * norm
-            for left in range(MAX_REFINE_STEPS - 1, -1, -1):
-                x = x + self._lu_solve(residual)
-                residual = rhs - hessian @ x
-                previous, norm = norm, np.linalg.norm(residual)
-                if norm <= target:
-                    return x
-                rate = norm / previous
-                # a step that fails to halve the residual, or a rate that cannot reach the
-                # target in the steps left, ends it (NaN too)
-                if not (rate <= 0.5 and norm * rate**left <= target):
-                    break
-        self.lu = None  # dropped before the fresh one is built
-        self.lu = self.splu(hessian[self.p][:, self.p].tocsc(), permc_spec="NATURAL")
+        if self.factor is not None:
+            x, done = self._refine(hessian, rhs)
+            if done:
+                return x
+        self.factor = None  # dropped before the fresh one is built
+        self.factor = Factorization(hessian)
         self.factorizations += 1
-        return self._lu_solve(rhs)
+        return self._refine(hessian, rhs)[0]
 
 
 def _newton_direction(f, report, w, kept):
@@ -228,7 +224,7 @@ def solve_dirichlet(
     boundary: GridMap,
     init: GridMap | None = None,
     cfg: SolverConfig | None = None,
-    kept: _KeptLU | None = None,
+    kept: _KeptFactor | None = None,
 ) -> SolveOutcome:
     """Solve the Dirichlet problem for the minimal surface system.
 
@@ -236,8 +232,7 @@ def solve_dirichlet(
     seed nothing); ``init`` defaults to the harmonic extension and must agree
     with the boundary data exactly on boundary nodes. Non-convergence is
     reported in the outcome, not raised, so amplitude sweeps can continue.
-    Newton keeps its LU in ``kept``, a new ``_KeptLU`` of the boundary's grid,
-    made here when not given.
+    Newton keeps its factorization in ``kept``, a new ``_KeptFactor`` made here when not given.
     """
     cfg = cfg or SolverConfig()
     if init is None:
@@ -257,7 +252,7 @@ def solve_dirichlet(
     newton_iters = 0
     fallback_iters = 0
     if kept is None:
-        kept = _KeptLU(f.grid, f.m)  # released when the solve returns
+        kept = _KeptFactor()  # released when the solve returns
 
     def finish(status: str, message: str = "") -> SolveOutcome:
         # report always belongs to the current f

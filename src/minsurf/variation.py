@@ -31,16 +31,14 @@ import numpy as np
 from ._stencils import _edge, cell_counts, corner_jacobians, corner_metrics, corner_offsets, corner_weight
 from ._stencils import scatter_corner_flux, small_matmul
 from .area import minimal_system_residual  # the name perfbench's span hook wraps
-from .assembly import dissection_permutation
+from .assembly import Factorization, NodeBlockOperator
 from .assembly import hessian_matrix as colored_stencil_matrix  # the name perfbench's span hook wraps
 from .errors import ContradictionDetected, NotMinimalWarning
 from .grid import GridMap, induced_metric
 from .report import Summarized
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-    from .solver import _KeptLU
+    from .solver import _KeptFactor
 
 __all__ = [
     "VariationField",
@@ -53,6 +51,9 @@ __all__ = [
 
 DEFAULT_MINIMAL_TOL = 1e-8
 _CONVEXITY_CHUNK = 4096  # corners per slab of the convexity test
+# the eigen-iteration applies S to its whole basis afresh when the triangular factor of the
+# basis has a diagonal entry below this times its largest: carried products would lose accuracy
+_CARRY_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -248,11 +249,10 @@ class SecondVariationForm:
         prod = np.sum(_as_values(V) * _as_values(W), axis=-1)
         return float(np.sum(self._node_weight * prod))
 
-    def assemble(self) -> tuple[sp.csr_matrix, np.ndarray]:
+    def assemble(self) -> tuple[NodeBlockOperator, np.ndarray]:
         """Hessian over interior dofs and the weights B: S v = theta B v is the stability pencil."""
         S = colored_stencil_matrix(self)
-        B_diag = np.repeat(self._node_weight[self._interior], self.m)
-        return S.tocsr(), B_diag
+        return S, np.repeat(self._node_weight[self._interior], self.m)
 
 
 def first_variation(f: GridMap, V: VariationField) -> float:
@@ -287,95 +287,90 @@ class StabilityReport(Summarized):
     epsilon: float
     converged: bool
     iterations: int
-    factorizations: int  # sparse LUs made: 0 on the solve's kept LU, else 1 plus the bisection steps
+    factorizations: int  # made here: 0 on the solve's kept factorization, else 1 plus the bisection steps
     eigen_residual: float
 
 
-def _gershgorin_lower_bound(S: sp.csr_matrix, B_diag: np.ndarray) -> float:
+def _gershgorin_lower_bound(S: NodeBlockOperator, B_diag: np.ndarray) -> float:
     sb = np.sqrt(B_diag)
-    absS = abs(S)
-    row_weighted = absS.dot(1.0 / sb) / sb
+    row_weighted = (S.absolute() @ (1.0 / sb)) / sb
     diag = S.diagonal()
     centers = diag / B_diag
     radii = row_weighted - np.abs(diag) / B_diag
     return float(np.min(centers - radii))
 
 
-def _factor(S: sp.csr_matrix, B_diag: np.ndarray, sigma: float, definite: bool = False):
-    """LU of S - sigma B with its count of negative pivots.
+def _factor(S: NodeBlockOperator, B_diag: np.ndarray, sigma: float, definite: bool = False):
+    """The factorization of S - sigma B with its count of negative pivots.
 
-    Without row exchanges the symmetric factorization is U = D L^T, so by
-    Sylvester's law of inertia the negative pivots count the eigenvalues of the
-    pencil below sigma. The count is None (sigma may be an eigenvalue) when rows
-    were exchanged or a pivot is zero, non-finite or round-off small. For a
-    ``definite`` S - sigma B it is 0 without reading the pivots, which SuperLU
-    hands out only as copies of both factors, more memory than the LU itself.
+    By Sylvester's law of inertia the negative pivots count the eigenvalues of the
+    pencil below sigma. The count is None (sigma may be an eigenvalue) when a pivot is
+    non-finite or round-off small; both are None when a pivot block is exactly
+    singular. For a ``definite`` S - sigma B it is 0 whatever the pivots read.
     """
-    import scipy.sparse as sp  # loaded on first use: the chain algebra needs no scipy
-    import scipy.sparse.linalg as spla
-
-    A = (S - sigma * sp.diags(B_diag)).tocsc()
     try:
-        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly zero pivot
+        factor = Factorization(S, sigma, B_diag)
+    except RuntimeError:  # an exactly singular pivot block
         return None, None
-    if definite:
-        return lu, 0
-    pivots = lu.U.diagonal()
-    scale = np.max(np.abs(S.diagonal()) + abs(sigma) * B_diag)
-    # round-off small: below 1e-11 of the largest diagonal entry of |S| + |sigma| B; NaN fails too
-    certified = (
-        np.array_equal(lu.perm_r, lu.perm_c)
-        and np.isfinite(pivots).all()
-        and np.min(np.abs(pivots)) > 1e-11 * scale
-    )
-    return lu, int(np.count_nonzero(pivots < 0)) if certified else None
+    return factor, 0 if definite else factor.count
+
+
+def _unit_scale(V: np.ndarray, B_diag: np.ndarray) -> np.ndarray:
+    """Per column of V, the factor that gives it unit B-norm; 0 for a zero column."""
+    norm = np.sqrt(B_diag @ V**2)
+    return np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
 
 
 def _smallest_eigenpair(
-    S: sp.csr_matrix, B_diag: np.ndarray, epsilon: float, cfg: EigenConfig, convex: bool, kept: _KeptLU | None
+    S: NodeBlockOperator, B_diag: np.ndarray, epsilon: float, cfg: EigenConfig, convex: bool, kept: _KeptFactor | None
 ):
-    """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the pencil S v = theta B v with an exact or kept LU.
+    """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the pencil S v = theta B v with a factorization F.
 
     The count k of eigenvalues below -epsilon (the Morse index, None when not
     certified) comes from factoring S + epsilon B; it is 0 without a count when
     every corner Hessian is positive definite (``convex``), since then S is
-    positive semidefinite. A convex map iterates on ``kept.lu``, the solve's LU
-    of a nearby Hessian in the same dissection order, if one probe shows that it
-    inverts S: with W = B X_0, ||S LU^-1 W - W||_F <= ||W||_F / 2. Otherwise it
-    iterates on the LU of S + epsilon B when k = 0; else the shift is bisected on
+    positive semidefinite. A convex map iterates on ``kept.factor``, the solve's
+    factorization of a nearby Hessian, if one probe shows that it inverts S: with
+    W = B X_0, ||S F^-1 W - W||_F <= ||W||_F / 2. Otherwise it iterates on the
+    factorization of S + epsilon B when k = 0; else the shift is bisected on
     inertia between a Gershgorin lower bound and -epsilon until a shift with no
     eigenvalue below it lies within 0.1 (1 + |sigma|) of one with some, and it
-    iterates on that LU. The LU changes only the number of steps: theta, the
-    residual test and k come from S, B and the corner test alone.
+    iterates on that factorization. F changes only the number of steps: theta,
+    the residual test and k come from S, B and the corner test alone.
 
     A block of 4 handles clustered bottom eigenvalues (the flat operator has
     one copy of the spectrum per target component). The first Rayleigh-Ritz
-    space is the span of LU^-1 B X_0 alone; every later one is
-    [X_k, LU^-1 R_k, X_{k-1}] with R_k = S X_k - B X_k Theta_k, held in one
-    preallocated buffer and made B-orthonormal by a Householder QR of its
-    columns scaled by sqrt(B), which stays orthonormal as the blocks align. The
-    lowest 4 Ritz pairs are the next block. Also returns the number of
-    factorizations made.
+    space is the span of F^-1 B X_0 alone; every later one is
+    [X_k, F^-1 R_k, P_k] with R_k = S X_k - B X_k Theta_k and P_k the part of
+    X_k outside the span of X_{k-1}, so it spans X_k, F^-1 R_k and X_{k-1}; its
+    new columns have unit B-norm. S is applied to F^-1 R_k alone, as S X_k and
+    S P_k are carried: with the columns scaled by sqrt(B) equal to Q T (T the
+    transposed Cholesky factor of their Gram matrix), the B-orthonormal basis is
+    the space times T^-1 and S times it the carried products times T^-1. When
+    T is ill-conditioned (a diagonal entry below ``_CARRY_TOL`` times the
+    largest), and for the first space, the basis comes from a Householder QR
+    and S is applied to all of it. The residual test that ends the iteration
+    reads a freshly applied S X_k. The lowest 4 Ritz pairs are the next block.
+    Also returns the number of factorizations made.
     """
     sb = np.sqrt(B_diag)
     block = min(4, sb.size)
     X = np.random.default_rng(cfg.seed).standard_normal((sb.size, block))
     W = B_diag[:, None] * X
-    lu, morse, factorizations = None, 0, 0
-    if convex and kept is not None and kept.lu is not None:
-        Y = kept.lu.solve(W)
-        if np.linalg.norm(S.dot(Y) - W) <= 0.5 * np.linalg.norm(W):  # NaN fails
-            lu = kept.lu
-    if lu is None:
-        lu, morse = _factor(S, B_diag, -epsilon, definite=convex)
+    factor, morse, factorizations = None, 0, 0
+    if convex and kept is not None and kept.factor is not None:
+        Y = kept.factor.solve(W)
+        if np.linalg.norm(S @ Y - W) <= 0.5 * np.linalg.norm(W):  # NaN fails
+            factor = kept.factor
+    if factor is None:
+        factor, morse = _factor(S, B_diag, -epsilon, definite=convex)
         factorizations = 1
         if morse != 0:
             lower = _gershgorin_lower_bound(S, B_diag)
             lo, hi = lower - 1e-2 * (abs(lower) + 1.0), -epsilon
             while True:
                 sigma = 0.5 * (lo + hi)
-                lu, count = _factor(S, B_diag, sigma)
+                factor, count = _factor(S, B_diag, sigma)
                 factorizations += 1
                 if count != 0:
                     hi = sigma
@@ -383,35 +378,61 @@ def _smallest_eigenpair(
                     break
                 else:
                     lo = sigma
-        Y = lu.solve(W)
-    space = np.empty((sb.size, 3 * block))  # sqrt(B) [X_k, LU^-1 R_k, X_{k-1}]
+        Y = factor.solve(W)
+    space = np.empty((sb.size, 3 * block))  # sqrt(B) [X_k, F^-1 R_k, P_k]
+    products = np.empty_like(space)  # S [X_k, F^-1 R_k, P_k]
     np.multiply(sb[:, None], Y, out=space[:, :block])
     width = block  # the first space holds the solves alone
-    del W, Y  # the kept LU may be alive: hold no n-row array longer than needed
+    del W, Y  # the kept factorization may be alive: hold no n-row array longer than needed
     history: list[float] = []
     for it in range(1, cfg.max_iters + 1):  # max_iters >= 1 sets theta, resid and it
-        Z, _ = np.linalg.qr(space[:, :width])
-        Z /= sb[:, None]  # B-orthonormal basis of the space
-        SZ = S.dot(Z)
+        basis = space[:, :width]
+        fresh = it == 1 or width > sb.size
+        if not fresh:
+            try:
+                T_inv = np.linalg.inv(np.linalg.cholesky(basis.T @ basis).T)
+            except np.linalg.LinAlgError:
+                fresh = True
+            else:
+                diag = np.abs(np.diagonal(T_inv))  # the inverses of T's diagonal
+                fresh = not diag.max() < diag.min() / _CARRY_TOL  # NaN too
+        if fresh:
+            Z = np.linalg.qr(basis)[0] / sb[:, None]
+            SZ = S @ Z
+        else:
+            Z, SZ = (basis @ T_inv) / sb[:, None], products[:, :width] @ T_inv
         ritz_vals, U = np.linalg.eigh(Z.T @ SZ)
         U = U[:, :block]
-        previous, X, theta = X, Z @ U, float(ritz_vals[0])
+        X, SX, theta = Z @ U, SZ @ U, float(ritz_vals[0])
         history.append(theta)
-        R = SZ @ U - B_diag[:, None] * X * ritz_vals[:block]
-        del SZ  # freed before the next step builds its own
+        R = SX - B_diag[:, None] * X * ritz_vals[:block]
         resid = float(np.sqrt(np.sum(R[:, 0] ** 2 / B_diag)))
+        if resid <= cfg.tol and not fresh:  # carried products are checked against a fresh one
+            SX = S @ X
+            R = SX - B_diag[:, None] * X * ritz_vals[:block]
+            resid = float(np.sqrt(np.sum(R[:, 0] ** 2 / B_diag)))
         # absolute residual contract in the weighted norm, ||v||_B = 1
         if resid <= cfg.tol:
             break
+        # the next space [X_k, F^-1 R_k, P_k], its new columns of unit B-norm, and S times it
+        if width > block:
+            P, SP = Z[:, block:width] @ U[block:], SZ[:, block:width] @ U[block:]
+            scale = _unit_scale(P, B_diag)
+            np.multiply(sb[:, None], P * scale, out=space[:, 2 * block :])
+            np.multiply(SP, scale, out=products[:, 2 * block :])
+        del SZ  # freed before the next step builds its own
+        W = factor.solve(R)
+        W *= _unit_scale(W, B_diag)
+        np.multiply(sb[:, None], W, out=space[:, block : 2 * block])
+        products[:, block : 2 * block] = S @ W
         np.multiply(sb[:, None], X, out=space[:, :block])
-        np.multiply(sb[:, None], lu.solve(R), out=space[:, block : 2 * block])
-        np.multiply(sb[:, None], previous, out=space[:, 2 * block :])
-        width = 3 * block
+        products[:, :block] = SX
+        width = 3 * block if width > block else 2 * block
     return theta, X[:, 0], history, resid <= cfg.tol, it, resid, morse, factorizations
 
 
 def stability_index(
-    f: GridMap, cfg: EigenConfig | None = None, warn: bool = True, kept: _KeptLU | None = None
+    f: GridMap, cfg: EigenConfig | None = None, warn: bool = True, kept: _KeptFactor | None = None
 ) -> StabilityReport:
     """Smallest eigenvalue of the second-variation form over interior variations.
 
@@ -424,12 +445,12 @@ def stability_index(
     converged eigenvalue raises ContradictionDetected.
     With ``warn``, one residual sweep warns if f is not minimal.
 
-    ``kept`` is the ``solver._KeptLU`` that a ``solve_dirichlet`` of f filled.
-    On a corner-convex map the eigen-solve iterates on its LU if that passes a
-    one-block probe, and then factors nothing (``factorizations`` 0);
-    otherwise it factors S + epsilon B as it does without ``kept``. The LU
-    changes only the iteration count, never the residual test, the verdict or
-    the Morse index.
+    ``kept`` is the ``solver._KeptFactor`` that a ``solve_dirichlet`` of f filled.
+    On a corner-convex map the eigen-solve iterates on its factorization if that
+    passes a one-block probe, and then factors nothing (``factorizations`` 0);
+    otherwise it factors S + epsilon B as it does without ``kept``. The
+    factorization changes only the iteration count, never the residual test, the
+    verdict or the Morse index.
     """
     cfg = cfg or EigenConfig()
     if warn:
@@ -438,9 +459,9 @@ def stability_index(
     convex = form.corners_convex()
     S, B_diag = form.assemble()
     del form  # and the corner Hessian it kept, before any factorization
-    perm = dissection_permutation(f.grid, f.m)
-    S, B_diag = S[perm][:, perm], B_diag[perm]  # every LU factors in the dissection order
-    epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B_diag)))
+    # the median by sort: np.median would import numpy.ma (11 ms)
+    ratios = np.sort(np.abs(S.diagonal() / B_diag))
+    epsilon = 1e-8 * float(0.5 * (ratios[(ratios.size - 1) // 2] + ratios[ratios.size // 2]))
     theta, v, history, converged, iters, resid, morse, factorizations = _smallest_eigenpair(
         S, B_diag, epsilon, cfg, convex, kept
     )
@@ -457,7 +478,7 @@ def stability_index(
     else:
         verdict = "marginal"
     vec = np.zeros(f.grid.counts + (f.m,))
-    vec[f.grid.interior_mask] = v[np.argsort(perm)].reshape(-1, f.m)
+    vec[f.grid.interior_mask] = v.reshape(-1, f.m)
     return StabilityReport(
         min_eigenvalue=theta,
         eigenvector=VariationField(grid=f.grid, values=vec),

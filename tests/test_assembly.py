@@ -28,9 +28,10 @@ def dense_oracle(form):
 
 
 def stencil_pattern(grid, m):
-    """Every pair of interior nodes within Chebyshev distance one, times m x m components."""
+    """Interior node pairs within Chebyshev distance one that differ in at most two coordinates, times m x m."""
     nodes = np.argwhere(grid.interior_mask)
-    near = np.abs(nodes[:, None, :] - nodes[None, :, :]).max(axis=-1) <= 1
+    delta = np.abs(nodes[:, None, :] - nodes[None, :, :])
+    near = (delta.max(axis=-1) <= 1) & (np.count_nonzero(delta, axis=-1) <= 2)
     return np.kron(near, np.ones((m, m), dtype=bool))
 
 
@@ -39,12 +40,11 @@ def check_exact(grid, m, seed):
     form = SecondVariationForm(f, warn=False)
     S = hessian_matrix(form)
     dense = dense_oracle(form)
-    assert np.abs(S.toarray() - dense).max() <= 1e-13 * np.abs(dense).max()
-    stored = S.tocoo()  # explicit zeros included
-    pattern = np.zeros(S.shape, dtype=bool)
-    pattern[stored.row, stored.col] = True
-    assert S.nnz == pattern.sum()
-    assert np.array_equal(pattern, stencil_pattern(grid, m))
+    assert np.abs(S @ np.eye(S.shape[0]) - dense).max() <= 1e-13 * np.abs(dense).max()
+    # the operator stores the offsets that differ in at most two coordinates, and the
+    # oracle is exactly zero outside them
+    assert S.offsets == tuple(d for d in itertools.product((-1, 0, 1), repeat=grid.n) if np.count_nonzero(d) <= 2)
+    assert not dense[~stencil_pattern(grid, m)].any()
 
 
 BOXES = [
@@ -100,3 +100,13 @@ def test_node_blocks_vanish_off_the_two_axis_offsets():
     blocks = SecondVariationForm(f, warn=False).node_blocks()
     for k, delta in enumerate(itertools.product((-1, 0, 1), repeat=3)):
         assert (np.count_nonzero(delta) == 3) == (not blocks[k].any())
+
+
+def test_node_blocks_vanish_off_the_two_axis_offsets_in_4d():
+    # 48 of the 81 offsets differ in three or four coordinates; their blocks are exact zeros
+    grid = build_grid(4, [(0.0, 1.0)] * 4, (4, 3, 4, 5))
+    f = random_smooth_map(grid, 2, np.random.default_rng(5), amplitude=0.8)
+    blocks = SecondVariationForm(f, warn=False).node_blocks()
+    vanishing = [k for k in range(3**4) if not blocks[k].any()]
+    assert vanishing == [k for k, d in enumerate(itertools.product((-1, 0, 1), repeat=4)) if np.count_nonzero(d) > 2]
+    assert len(vanishing) == 48

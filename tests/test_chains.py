@@ -303,14 +303,44 @@ def test_oracle_run_leaves_scipy_unloaded(tmp_path):
     assert not _loaded_after(_run_code(tmp_path, {"command": "oracle", "oracle": oracle}), "scipy")
 
 
-def test_solve_run_loads_scipy_where_it_is_used(tmp_path):
-    doc = {
-        "command": "solve",
-        "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [9, 9]},
-        "boundary": {"family": "holomorphic_power", "amplitude": 0.3, "power": 3},
-        "stability": {"enabled": True},
-    }
-    assert _loaded_after(_run_code(tmp_path, doc), "scipy.sparse.linalg")
+def test_loaded_after_sees_a_scipy_import():
+    # positive control: the probe does see scipy once something imports it
+    assert _loaded_after("import minsurf.cli\nimport scipy.sparse", "scipy")
+
+
+HOLOMORPHIC = {"family": "holomorphic_power", "amplitude": 0.3, "power": 3}
+SQUARE = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [9, 9]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "solve", "grid": SQUARE, "boundary": HOLOMORPHIC, "stability": {"enabled": True}},
+        # a map that is not corner-convex: its Morse index is read off the pivots
+        {
+            "command": "analyze",
+            "grid": SQUARE,
+            "boundary": {**HOLOMORPHIC, "amplitude": 6.0},
+            "stability": {"enabled": True},
+        },
+        {
+            "command": "homotopy",
+            "seed": 3,
+            "grid": SQUARE,
+            "homotopy": {
+                "f0": {**HOLOMORPHIC, "solve": True},
+                "f1": {**HOLOMORPHIC, "solve": True, "bump_amplitude": 0.05},
+                "t_count": 5,
+                "uniqueness_inits": 2,
+            },
+        },
+        {"command": "sweep", "grid": SQUARE, "sweep": {**HOLOMORPHIC, "s_values": [0.1, 0.3]}},
+        {"command": "validate", "validate": {"counts": [5, 5], "oracle_samples": 200}},
+    ],
+    ids=["solve", "analyze", "homotopy", "sweep", "validate"],
+)
+def test_pde_runs_leave_scipy_unloaded(tmp_path, doc):
+    assert not _loaded_after(_run_code(tmp_path, doc), "scipy")
 
 
 def test_found_search_leaves_optimizer_unloaded():

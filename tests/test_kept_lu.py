@@ -1,7 +1,7 @@
-"""Newton refines on the sparse LU it keeps and factors afresh only when refinement stalls.
+"""Newton refines on the factorization it keeps and factors afresh only when refinement stalls.
 
-The stability check of a corner-convex map iterates on that LU when a probe shows it inverts
-the stability operator, and factors its own otherwise.
+The stability check of a corner-convex map iterates on that factorization when a probe shows
+it inverts the stability operator, and factors its own otherwise.
 """
 
 import json
@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from minsurf import SecondVariationForm, build_grid, solve_dirichlet, solver, stability_index
-from minsurf.assembly import dissection_permutation, hessian_matrix
+from minsurf.assembly import Factorization, NodeBlockOperator, hessian_matrix
 from minsurf.cli import main
 from minsurf.families import holomorphic_power_map, random_smooth_map
 
@@ -27,7 +27,7 @@ def smooth_17_squared_m3():
 def recorded_solves(monkeypatch):
     """Per Newton direction: (matrix, rhs, direction, fresh factorizations it took)."""
     calls = []
-    solve = solver._KeptLU.solve
+    solve = solver._KeptFactor.solve
 
     def recording(kept, hessian, rhs):
         before = kept.factorizations
@@ -35,27 +35,38 @@ def recorded_solves(monkeypatch):
         calls.append((hessian, rhs, d, kept.factorizations - before))
         return d
 
-    monkeypatch.setattr(solver._KeptLU, "solve", recording)
+    monkeypatch.setattr(solver._KeptFactor, "solve", recording)
     return calls
 
 
-def counted_splu(monkeypatch):
+def counted_factorizations(monkeypatch):
     calls = []
-    splu = spla.splu
+    init = Factorization.__init__
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(None)
-        return splu(*args, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(Factorization, "__init__", counting)
     return calls
+
+
+class CountedSolves:
+    """A factorization whose solves are counted."""
+
+    def __init__(self, factor, solves):
+        self.factor, self.solves = factor, solves
+
+    def solve(self, b):
+        self.solves.append(None)
+        return self.factor.solve(b)
 
 
 def test_solve_3d_map_converges_in_two_newton_steps_on_one_factorization(monkeypatch):
-    splu_calls = counted_splu(monkeypatch)
+    factorizations = counted_factorizations(monkeypatch)
     out = solve_dirichlet(holomorphic(3, 17, 0.3))
     assert (out.converged, out.iterations, out.fallback_iterations) == (True, 2, 0)
-    assert out.factorizations == len(splu_calls) == 1
+    assert out.factorizations == len(factorizations) == 1
 
 
 @pytest.mark.parametrize(
@@ -63,13 +74,13 @@ def test_solve_3d_map_converges_in_two_newton_steps_on_one_factorization(monkeyp
     [(lambda: holomorphic(3, 17, 0.3), [2]), (smooth_17_squared_m3, [2, 3])],  # the first is the solve-3d map
     ids=["17^3", "17^2-m3"],
 )
-def test_refined_direction_equals_a_fresh_direct_solve(monkeypatch, boundary, refined_steps):
+def test_refined_direction_equals_a_fresh_direct_solve(monkeypatch, boundary, refined_steps, csr):
     f = boundary()
     calls = recorded_solves(monkeypatch)
     assert solve_dirichlet(f).converged  # from the harmonic extension, as the workloads start
     assert [k + 1 for k, call in enumerate(calls) if call[3] == 0] == refined_steps
     for hessian, rhs, d, _ in calls:
-        direct = spla.spsolve(hessian.tocsc(), rhs)
+        direct = spla.spsolve(csr(hessian).tocsc(), rhs)
         assert np.linalg.norm(d - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
@@ -79,29 +90,23 @@ def test_stalled_refinement_falls_back_to_one_fresh_factorization(monkeypatch):
     unforced = solve_dirichlet(boundary)
     assert (unforced.status, unforced.iterations, unforced.converged) == ("converged", 3, True)
 
-    # the kept LU is that of an unrelated map's Hessian at the first Newton step
+    # the kept factorization is that of an unrelated map's Hessian at the first Newton step
     unrelated = random_smooth_map(grid, 2, np.random.default_rng(0), amplitude=0.8)
-    p = dissection_permutation(grid, 2)
-    H = hessian_matrix(SecondVariationForm(unrelated, warn=False))
-    unrelated_lu = spla.splu(H[p][:, p].tocsc(), permc_spec="NATURAL")
     unrelated_solves = []
+    unrelated_hessian = hessian_matrix(SecondVariationForm(unrelated, warn=False))
+    unrelated_factor = CountedSolves(Factorization(unrelated_hessian), unrelated_solves)
 
-    class Counted:
-        def solve(self, b):
-            unrelated_solves.append(None)
-            return unrelated_lu.solve(b)
+    class Forced(solver._KeptFactor):
+        def __init__(self):
+            super().__init__()
+            self.factor = unrelated_factor
 
-    class Forced(solver._KeptLU):
-        def __init__(self, grid, m):
-            super().__init__(grid, m)
-            self.lu = Counted()
-
-    monkeypatch.setattr(solver, "_KeptLU", Forced)
-    splu_calls = counted_splu(monkeypatch)
+    monkeypatch.setattr(solver, "_KeptFactor", Forced)
+    factorizations = counted_factorizations(monkeypatch)
     forced = solve_dirichlet(boundary)
-    # one refinement step fails to halve the residual, and one fresh LU replaces it
+    # one refinement step fails to halve the residual, and one fresh factorization replaces it
     assert len(unrelated_solves) == 1
-    assert forced.factorizations == len(splu_calls) == unforced.factorizations == 1
+    assert forced.factorizations == len(factorizations) == unforced.factorizations == 1
     assert (forced.status, forced.iterations, forced.converged) == (
         unforced.status,
         unforced.iterations,
@@ -116,32 +121,40 @@ def test_stalled_refinement_falls_back_to_one_fresh_factorization(monkeypatch):
     ids=["rate-5e-3-refines", "rate-1e-1-factors"],
 )
 def test_refinement_factors_afresh_once_its_rate_cannot_reach_the_target(scale, lu_solves, factorizations):
-    # the LU of H / scale contracts the residual by 1 - scale per step: 5e-3 reaches
-    # REFINE_TOL in 6 steps, 1e-1 would need 12 of the 10, so its first step ends it
+    # the factorization of H / scale contracts the residual by 1 - scale per step: 5e-3
+    # reaches REFINE_TOL in 6 steps, 1e-1 would need 12 of the 10, so its first step ends it
     grid = build_grid(2, [(0.0, 1.0)] * 2, (6, 5))
     f = random_smooth_map(grid, 2, np.random.default_rng(5), amplitude=0.3)
     H = hessian_matrix(SecondVariationForm(f, warn=False))
-    kept = solver._KeptLU(grid, 2)
-    scaled_lu = spla.splu((H / scale)[kept.p][:, kept.p].tocsc(), permc_spec="NATURAL")
+    kept = solver._KeptFactor()
     solves = []
-
-    class Counted:
-        def solve(self, b):
-            solves.append(None)
-            return scaled_lu.solve(b)
-
-    kept.lu = Counted()
+    kept.factor = CountedSolves(Factorization(NodeBlockOperator(H.blocks / scale, H.offsets)), solves)
     rhs = np.random.default_rng(6).standard_normal(H.shape[0])
     d = kept.solve(H, rhs)
     assert (len(solves), kept.factorizations) == (lu_solves, factorizations)
     assert np.linalg.norm(rhs - H @ d) <= solver.REFINE_TOL * np.linalg.norm(rhs)
 
 
+def test_the_first_solve_on_a_fresh_factorization_is_refined():
+    # an indefinite map (73 negative eigenvalues): the factorization pivots nowhere across its
+    # fronts, so its direct solve misses REFINE_TOL (2.5e-12) and refinement on it meets it
+    grid = build_grid(3, [(0.0, 1.0)] * 3, (9,) * 3)
+    f = random_smooth_map(grid, 3, np.random.default_rng(2), amplitude=4.0)
+    H = hessian_matrix(SecondVariationForm(f, warn=False))
+    rhs = np.random.default_rng(2).standard_normal(H.shape[0])
+    direct = Factorization(H).solve(rhs)
+    assert np.linalg.norm(rhs - H @ direct) > solver.REFINE_TOL * np.linalg.norm(rhs)
+    kept = solver._KeptFactor()
+    d = kept.solve(H, rhs)
+    assert kept.factorizations == 1
+    assert np.linalg.norm(rhs - H @ d) <= solver.REFINE_TOL * np.linalg.norm(rhs)
+
+
 def solved_with_kept_lu(n, size, amplitude):
     boundary = holomorphic(n, size, amplitude)
-    kept = solver._KeptLU(boundary.grid, boundary.m)
+    kept = solver._KeptFactor()
     out = solve_dirichlet(boundary, kept=kept)
-    assert out.converged and kept.lu is not None
+    assert out.converged and kept.factor is not None
     return out.solution, kept
 
 
@@ -154,23 +167,23 @@ def assert_same_verdict(rep, own, rtol):
 @pytest.mark.parametrize("n, size", [(2, 97), (3, 17)], ids=["97^2", "17^3"])  # the solve workload maps
 def test_stability_on_the_kept_lu_equals_stability_on_its_own_lu(monkeypatch, n, size):
     f, kept = solved_with_kept_lu(n, size, 0.3)
-    splu_calls = counted_splu(monkeypatch)
+    factorizations = counted_factorizations(monkeypatch)
     rep = stability_index(f, warn=False, kept=kept)
-    assert rep.factorizations == len(splu_calls) == 0
+    assert rep.factorizations == len(factorizations) == 0
     own = stability_index(f, warn=False)
-    assert own.factorizations == len(splu_calls) == 1
+    assert own.factorizations == len(factorizations) == 1
     assert_same_verdict(rep, own, 1e-12)
     assert rep.iterations <= own.iterations
 
 
 def test_a_kept_lu_of_an_unrelated_map_fails_the_probe(monkeypatch):
-    # the LU kept by the s = 6 solve inverts the s = 0.3 map's operator badly
-    # (||S LU^-1 W - W||_F / ||W||_F is about 28), so stability factors its own
+    # the factorization kept by the s = 6 solve inverts the s = 0.3 map's operator badly
+    # (||S F^-1 W - W||_F / ||W||_F is about 28), so stability factors its own
     f, _ = solved_with_kept_lu(2, 17, 0.3)
     _, unrelated = solved_with_kept_lu(2, 17, 6.0)
-    splu_calls = counted_splu(monkeypatch)
+    factorizations = counted_factorizations(monkeypatch)
     rep = stability_index(f, warn=False, kept=unrelated)
-    assert rep.factorizations == len(splu_calls) == 1
+    assert rep.factorizations == len(factorizations) == 1
     own = stability_index(f, warn=False)
     assert rep.summary() == own.summary()
     assert np.array_equal(rep.eigenvector.values, own.eigenvector.values)
@@ -181,18 +194,11 @@ def test_a_non_convex_map_never_iterates_on_the_kept_lu(monkeypatch):
     f, kept = solved_with_kept_lu(2, 17, 6.0)
     assert not SecondVariationForm(f, warn=False).corners_convex()
     kept_solves = []
-    lu = kept.lu
-
-    class Counted:
-        def solve(self, b):
-            kept_solves.append(None)
-            return lu.solve(b)
-
-    kept.lu = Counted()
-    splu_calls = counted_splu(monkeypatch)
+    kept.factor = CountedSolves(kept.factor, kept_solves)
+    factorizations = counted_factorizations(monkeypatch)
     rep = stability_index(f, warn=False, kept=kept)
     assert kept_solves == []
-    assert rep.factorizations == len(splu_calls) >= 1
+    assert rep.factorizations == len(factorizations) >= 1
     assert rep.summary() == stability_index(f, warn=False).summary()
 
 
@@ -207,9 +213,9 @@ def test_the_solve_command_factors_once_on_a_corner_convex_map(monkeypatch, tmp_
         "stability": {"enabled": True},
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
-    splu_calls = counted_splu(monkeypatch)
+    factorizations = counted_factorizations(monkeypatch)
     assert main(["run", str(tmp_path / "config.json")]) == 0
     results = json.loads((tmp_path / "report.json").read_text())["results"]
-    assert len(splu_calls) == results["solve"]["factorizations"] == 1
+    assert len(factorizations) == results["solve"]["factorizations"] == 1
     assert results["stability"]["factorizations"] == 0
     assert results["stability"]["verdict"] == "stable"

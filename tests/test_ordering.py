@@ -1,14 +1,15 @@
-"""Every sparse LU runs in the nested-dissection order of the interior dofs."""
+"""The factorization eliminates the interior dofs in nested-dissection order."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import minsurf.assembly as assembly
 import minsurf.solver as solver
 from minsurf import SecondVariationForm, SolverConfig, build_grid, solve_dirichlet, stability_index
-from minsurf.assembly import dissection_permutation, hessian_matrix
+from minsurf.assembly import Factorization, dissection_permutation, hessian_matrix
 from minsurf.families import holomorphic_power_map, random_smooth_map
 from minsurf.solver import harmonic_extension
 
@@ -33,6 +34,10 @@ each_m = pytest.mark.parametrize("m", [1, 2, 3])
 def smooth_map(counts, extents, m):
     grid = build_grid(len(counts), extents, counts)
     return random_smooth_map(grid, m, np.random.default_rng(sum(counts) * 10 + m), amplitude=0.8)
+
+
+def dense(S):
+    return S @ np.eye(S.shape[0])
 
 
 def top_split(counts):
@@ -81,14 +86,14 @@ def test_top_separator_is_the_middle_plane_of_the_longest_axis(counts, extents, 
 @each_split_box
 def test_hessian_does_not_couple_the_separated_halves(counts, extents, m):
     f = smooth_map(counts, extents, m)
-    S, _ = SecondVariationForm(f, warn=False).assemble()
+    S = dense(SecondVariationForm(f, warn=False).assemble()[0])
     ax, mid = top_split(counts)
     along = np.repeat(np.argwhere(f.grid.interior_mask)[:, ax] - 1, m)  # per dof
     low, high = np.flatnonzero(along < mid), np.flatnonzero(along > mid)
     assert len(low) and len(high)
-    assert S[low][:, high].count_nonzero() == 0
+    assert np.count_nonzero(S[np.ix_(low, high)]) == 0
     # the stencil does couple each half to the plane
-    assert S[low][:, along == mid].count_nonzero() > 0
+    assert np.count_nonzero(S[np.ix_(low, np.flatnonzero(along == mid))]) > 0
 
 
 def test_cached_node_order_is_read_only():
@@ -125,10 +130,10 @@ def record_first_newton_step(f, monkeypatch):
 
 @each_m
 @each_box
-def test_newton_direction_matches_unpermuted_solve(counts, extents, m, monkeypatch):
+def test_newton_direction_matches_unpermuted_solve(counts, extents, m, monkeypatch, csr):
     f = smooth_map(counts, extents, m)
     H, rhs, d = record_first_newton_step(f, monkeypatch)
-    reference = spla.spsolve(H.tocsc(), rhs)
+    reference = spla.spsolve(csr(H).tocsc(), rhs)
     assert np.abs(d - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -138,22 +143,33 @@ def test_stability_index_is_the_bottom_of_the_dense_pencil(counts, extents, m):
     f = smooth_map(counts, extents, m)
     rep = stability_index(f, warn=False)
     S, B_diag = SecondVariationForm(f, warn=False).assemble()
-    bottom = scipy.linalg.eigh(S.toarray(), np.diag(B_diag), eigvals_only=True)[0]
+    bottom = scipy.linalg.eigh(dense(S), np.diag(B_diag), eigvals_only=True)[0]
     assert rep.converged
     assert abs(rep.min_eigenvalue - bottom) <= 1e-10 * abs(bottom)
 
 
-def lu_fill(matrix, perm=None):
-    if perm is None:
-        lu = spla.splu(matrix.tocsc())
-    else:
-        lu = spla.splu(matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
-    return lu.L.nnz + lu.U.nnz
-
-
 @pytest.mark.parametrize("n,size,bound", [(2, 65, 0.7), (3, 11, 0.85)])
-def test_dissection_fill_of_the_harmonic_extension_hessian(n, size, bound):
+def test_dissection_fill_of_the_harmonic_extension_hessian(n, size, bound, csr):
+    # the factorization's stored entries against SuperLU's L + U fill in its default order
     grid = build_grid(n, [(0.0, 1.0)] * n, (size,) * n)
     f = harmonic_extension(holomorphic_power_map(grid, 0.3, 3))
     H = hessian_matrix(SecondVariationForm(f, warn=False))
-    assert lu_fill(H, dissection_permutation(grid, f.m)) <= bound * lu_fill(H)
+    lu = spla.splu(csr(H).tocsc())
+    assert Factorization(H).stored <= bound * (lu.L.nnz + lu.U.nnz)
+
+
+@each_m
+@each_box
+def test_factorization_solve_equals_spsolve(counts, extents, m):
+    f = smooth_map(counts, extents, m)
+    S, B_diag = SecondVariationForm(f, warn=False).assemble()
+    A = dense(S)
+    rhs = np.random.default_rng(m).standard_normal((S.shape[0], 2))
+    bottom = scipy.linalg.eigh(A, np.diag(B_diag), eigvals_only=True)[0]
+    # the Hessian, and pencils shifted below, into and above the bottom of the spectrum
+    for sigma in (0.0, bottom - 1.0, 0.5 * bottom, bottom + 1.0):
+        shifted = sp.csc_matrix(A - sigma * np.diag(B_diag))
+        x = Factorization(S, sigma, B_diag).solve(rhs)
+        for column in range(2):
+            reference = spla.spsolve(shifted, rhs[:, column])
+            assert np.abs(x[:, column] - reference).max() <= 1e-12 * np.abs(reference).max()

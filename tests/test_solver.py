@@ -241,7 +241,7 @@ def test_unusable_newton_step_is_rescued_by_the_gradient(monkeypatch, first_step
     boundary = holomorphic_power_map(grid, 0.3, 3)
     init = harmonic_extension(boundary)
     gradient = minimal_system_residual(init).residual
-    solve, area = solver._KeptLU.solve, solver.discrete_area
+    solve, area = solver._KeptFactor.solve, solver.discrete_area
     solves, trials = [], []  # trials[i]: the candidates of step i + 1
 
     def first_solve_spoiled(kept, *args):
@@ -255,7 +255,7 @@ def test_unusable_newton_step_is_rescued_by_the_gradient(monkeypatch, first_step
         trials[-1].append(f.values - init.values)
         return area(f)
 
-    monkeypatch.setattr(solver._KeptLU, "solve", first_solve_spoiled)
+    monkeypatch.setattr(solver._KeptFactor, "solve", first_solve_spoiled)
     monkeypatch.setattr(solver, "discrete_area", recorded_area)
     with np.errstate(all="ignore"):  # the huge step overflows the area
         out = solve_dirichlet(boundary, init=init)

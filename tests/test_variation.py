@@ -20,7 +20,7 @@ from minsurf import (
     solve_dirichlet,
     stability_index,
 )
-from minsurf.assembly import dissection_permutation
+from minsurf.assembly import Factorization, NodeBlockOperator
 from minsurf.families import (
     affine_map,
     holomorphic_power_map,
@@ -231,13 +231,13 @@ def test_stability_eigenvector_rayleigh_consistent(unit_square):
     assert rayleigh == pytest.approx(rep.min_eigenvalue, rel=1e-8)
 
 
-def test_stability_index_matches_arpack(unit_square):
+def test_stability_index_matches_arpack(unit_square, csr):
     # independent eigensolver oracle on the assembled pencil
     out = solve_dirichlet(holomorphic_power_map(unit_square, 0.35, 3))
     form = SecondVariationForm(out.solution)
     S, B = form.assemble()
     theta_arpack = spla.eigsh(
-        S, k=1, M=sp.diags(B), sigma=-1.0, which="LM", return_eigenvectors=False
+        csr(S), k=1, M=sp.diags(B), sigma=-1.0, which="LM", return_eigenvectors=False
     )[0]
     rep = stability_index(out.solution)
     assert rep.min_eigenvalue == pytest.approx(theta_arpack, rel=1e-7)
@@ -245,7 +245,7 @@ def test_stability_index_matches_arpack(unit_square):
 
 def dense_pencil_spectrum(f):
     S, B = SecondVariationForm(f, warn=False).assemble()
-    return scipy.linalg.eigh(S.toarray(), np.diag(B), eigvals_only=True)
+    return scipy.linalg.eigh(S @ np.eye(S.shape[0]), np.diag(B), eigvals_only=True)
 
 
 def solved_holomorphic(nodes, amplitude):
@@ -281,6 +281,15 @@ def test_stability_index_matches_dense_eigh(build, max_iterations):
     assert rep.converged and rep.iterations <= max_iterations
     assert abs(rep.min_eigenvalue - spectrum[0]) <= 1e-10 * abs(spectrum[0])
     assert rep.morse_index == np.count_nonzero(spectrum < -rep.epsilon)
+    assert_counts_are_dense_counts(f, spectrum)
+
+
+def assert_counts_are_dense_counts(f, spectrum):
+    """The factorization's inertia count at -epsilon's place and between eigenvalues is the dense count."""
+    S, B = SecondVariationForm(f, warn=False).assemble()
+    for k in sorted({0, (len(spectrum) - 1) // 3, (len(spectrum) - 1) // 2}):
+        for sigma in (spectrum[k] - 1e-3 * abs(spectrum[k]), 0.5 * (spectrum[k] + spectrum[k + 1])):
+            assert _factor(S, B, sigma)[1] == np.count_nonzero(spectrum < sigma)
 
 
 @pytest.mark.parametrize(
@@ -317,7 +326,10 @@ def test_morse_index_is_the_dense_count_below_epsilon(counts, m, amplitude, seed
     grid = build_grid(len(counts), [(0.0, 1.0)] * len(counts), tuple(counts))
     f = random_smooth_map(grid, m, np.random.default_rng(seed), amplitude=amplitude)
     rep = stability_index(f, warn=False)
-    assert rep.morse_index == np.count_nonzero(dense_pencil_spectrum(f) < -rep.epsilon)
+    spectrum = dense_pencil_spectrum(f)
+    assert rep.morse_index == np.count_nonzero(spectrum < -rep.epsilon)
+    if len(spectrum) > 1:
+        assert_counts_are_dense_counts(f, spectrum)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -432,17 +444,15 @@ def test_first_iterate_is_one_step_of_block_inverse_iteration(unit_square):
     rep = stability_index(f, EigenConfig(max_iters=1), warn=False)
 
     form = SecondVariationForm(f, warn=False)
-    assert form.corners_convex()  # so the iteration runs on the LU at -epsilon
+    assert form.corners_convex()  # so the iteration runs on the factorization at -epsilon
     S, B = form.assemble()
-    perm = dissection_permutation(unit_square, f.m)
-    S, B = S[perm][:, perm], B[perm]
     epsilon = 1e-8 * float(np.median(np.abs(S.diagonal() / B)))
-    lu, _ = _factor(S, B, -epsilon, definite=True)
+    factor, _ = _factor(S, B, -epsilon, definite=True)
     sb = np.sqrt(B)
     X = np.random.default_rng(EigenConfig().seed).standard_normal((sb.size, 4))
-    Q, _ = np.linalg.qr(sb[:, None] * lu.solve(B[:, None] * X))
+    Q, _ = np.linalg.qr(sb[:, None] * factor.solve(B[:, None] * X))
     X = Q / sb[:, None]
-    theta = float(np.linalg.eigh(X.T @ S.dot(X))[0][0])
+    theta = float(np.linalg.eigh(X.T @ (S @ X))[0][0])
     assert rep.min_eigenvalue == theta
     assert rep.rayleigh_history == (theta,)
 
@@ -481,14 +491,53 @@ def test_count_contradicting_the_eigenvalue_raises(unit_square, monkeypatch):
         stability_index(f)
 
 
+def chain_operator(diagonal, coupling):
+    """The tridiagonal operator on a 1-D grid with m = 1, as node blocks."""
+    blocks = np.zeros((3, 1, 1, len(diagonal)))
+    blocks[1, 0, 0] = diagonal
+    blocks[2, 0, 0, :-1] = coupling  # node p with p + 1
+    blocks[0, 0, 0, 1:] = coupling  # node p with p - 1
+    return NodeBlockOperator(blocks, ((-1,), (0,), (1,)))
+
+
 def test_factor_gives_no_count_for_an_infinite_pivot():
-    lu, count = _factor(sp.csr_matrix([[1.0, 1e200], [1e200, 1.0]]), np.ones(2), 0.0)
-    assert np.isneginf(lu.U.diagonal()[1])  # 1 - 1e400 overflows
-    assert count is None
+    # SuperLU's second pivot of [[1, 1e200], [1e200, 1]] overflowed; here both nodes are one
+    # front, whose eigenvalues 1 -+ 1e200 are finite, and the count is certified
+    S = chain_operator(np.ones(2), np.array([1e200]))
+    assert _factor(S, np.ones(2), 0.0)[1] == np.count_nonzero(np.linalg.eigvalsh(S @ np.eye(2)) < 0) == 1
+    # 40 nodes are two leaf fronts and one separator front, node 20; the coupling 1e200
+    # between node 19 and the separator makes the separator's pivot 1 - 1e400 = -inf
+    coupling = np.zeros(39)
+    coupling[19] = 1e200
+    S = chain_operator(np.ones(40), coupling)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor, count = _factor(S, np.ones(40), 0.0)
+        assert count is None
+        assert not np.isfinite(factor.solve(np.ones(40))).all()
 
 
-def test_factor_gives_no_count_after_a_row_exchange():
-    S = sp.csr_matrix([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    lu, count = _factor(S, np.ones(3), 0.0)
-    assert lu.perm_r.tolist() == [1, 0, 2]  # the zero first pivot exchanges rows
+def test_factor_gives_no_count_for_a_round_off_small_pivot():
+    # positive definite, but the second pivot is 1e-14 of the largest diagonal entry
+    S = chain_operator(np.array([1.0, 1.0 + 1e-14, 1.0]), np.array([1.0, 0.0]))
+    factor, count = _factor(S, np.ones(3), 0.0)
     assert count is None
+    assert np.count_nonzero(np.linalg.eigvalsh(S @ np.eye(3)) < 0) == 0
+
+
+def test_an_exactly_singular_pivot_block_raises_as_superlu_did():
+    # node 20 is a front of its own whose pivot block is exactly [0]
+    diagonal, coupling = np.ones(40), np.full(39, 0.1)
+    diagonal[20], coupling[19:21] = 0.0, 0.0
+    S = chain_operator(diagonal, coupling)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        Factorization(S)
+    assert _factor(S, np.ones(40), 0.0) == (None, None)
+
+
+def test_factor_counts_a_pivot_block_with_zero_diagonal():
+    # SuperLU exchanged the rows of this matrix and gave no count; the front's pivot block
+    # is eliminated through its eigenvalues -1, 1 and 2, and counted
+    S = chain_operator(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0]))
+    factor, count = _factor(S, np.ones(3), 0.0)
+    assert count == np.count_nonzero(np.linalg.eigvalsh(S @ np.eye(3)) < 0) == 1
+    assert np.allclose(S @ factor.solve(np.arange(3.0)), np.arange(3.0), rtol=0, atol=1e-15)
