@@ -19,7 +19,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .chains import CHAIN_DD, CHAIN_RANK, SearchRegime
 from .criteria import DEFAULT_TOL
@@ -372,6 +371,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
+        import yaml  # only a config that is not JSON pays for the YAML parser
+
         try:
             doc = yaml.safe_load(text)
         except yaml.YAMLError as exc:

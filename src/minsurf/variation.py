@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,6 +101,33 @@ def _warn_if_not_minimal(f: GridMap) -> None:
         )
 
 
+@lru_cache(maxsize=8)  # a run assembles on one grid, validate on a few
+def _scatter_plan(cells: tuple[int, ...]) -> tuple:
+    """Per axis j, the rows (corner c, axis i, targets) of ``node_blocks``' scatter, in (c, i) order.
+
+    The edge leaving corner nu along axis i touches, at its end s, the node nu with entry
+    i set to s, and differences with sign +-1/h_i. Each of the 4 targets (s, t) is the
+    offset k from that row node to the column node (entry j set to t), the ``_edge`` index
+    of the row nodes, and ``np.add`` when s = t, else ``np.subtract``.
+    """
+    n, centre = len(cells), (3 ** len(cells) - 1) // 2
+
+    def targets(nu, i, j):
+        return tuple(
+            (
+                centre + (t - nu[j]) * 3 ** (n - 1 - j) - (s - nu[i]) * 3 ** (n - 1 - i),
+                _edge(cells, nu, i, s),
+                np.add if s == t else np.subtract,
+            )
+            for s, t in itertools.product((0, 1), repeat=2)
+        )
+
+    return tuple(
+        tuple((c, i, targets(nu, i, j)) for c, nu in enumerate(corner_offsets(n)) for i in range(n))
+        for j in range(n)
+    )
+
+
 class SecondVariationForm:
     """Precomputed second-variation machinery at a fixed base map.
 
@@ -137,11 +164,11 @@ class SecondVariationForm:
         B = corner_jacobians(_as_values(V), self.grid)
         return float(self._wc * np.sum(self._sqrtg * self._JGi * B))
 
-    def _corner_terms(self, B: np.ndarray, part=(Ellipsis,)):
-        """M = J^T B + B^T J and tr(G^-1 M) = 2 <J G^-1, B> per corner, on the cells ``part``."""
-        M = small_matmul(self._J[part].swapaxes(0, 1), B)
+    def _corner_terms(self, B: np.ndarray):
+        """M = J^T B + B^T J and tr(G^-1 M) = 2 <J G^-1, B> per corner."""
+        M = small_matmul(self._J.swapaxes(0, 1), B)
         M = M + M.swapaxes(0, 1)
-        return M, 2.0 * np.sum(self._JGi[part] * B, axis=(0, 1))
+        return M, 2.0 * np.sum(self._JGi * B, axis=(0, 1))
 
     def quadratic(self, V: VariationField | np.ndarray) -> float:
         """Exact d2/dt2 of the discrete area along f + tV at t = 0."""
@@ -154,18 +181,42 @@ class SecondVariationForm:
 
     # -- operator form ----------------------------------------------------
 
-    def _flux(self, B: np.ndarray, part=(Ellipsis,)) -> np.ndarray:
-        """Corner flux of H along the corner Jacobian B, per corner K_c B, on the cells ``part``.
+    def _flux(self, B: np.ndarray) -> np.ndarray:
+        """Corner flux of H along the corner Jacobian B, per corner K_c B.
 
         K_c is the Hessian of sqrt det(I + J^T J) in J, and
         K_c B = sqrt(g) [(B - J G^-1 M) G^-1 + 1/2 tr(G^-1 M) J G^-1].
-        ``part`` indexes the trailing cell axes of every corner array.
         """
-        M, tau = self._corner_terms(B, part)
-        JGi = self._JGi[part]
+        M, tau = self._corner_terms(B)
         # (B - J G^-1 M) G^-1 = B G^-1 - J G^-1 M G^-1
-        flux = small_matmul(B - small_matmul(JGi, M), self._Ginv[part])
-        flux += 0.5 * tau * JGi
+        flux = small_matmul(B - small_matmul(self._JGi, M), self._Ginv)
+        flux += 0.5 * tau * self._JGi
+        flux *= self._sqrtg
+        return flux
+
+    def _unit_flux(self, b: int, j: int, part=(Ellipsis,)) -> np.ndarray:
+        """``_flux`` of the unit corner field E_bj, bit for bit, on the cells ``part``.
+
+        For B = E_bj the only nonzero entries of M = J^T B + B^T J are M_jl = J_bl and
+        M_kj = J_bk off the diagonal and M_jj = 2 J_bj, and 1/2 tr(G^-1 M) = (J G^-1)_bj.
+        So column l != j of X = J G^-1 M is (J G^-1)_{:j} J_bl and column j is the k-ordered
+        sum of ``small_matmul``: the products by exact zeros are left out, the rest is
+        ``_flux``'s arithmetic in its order. ``part`` indexes the trailing cell axes of
+        every corner array.
+        """
+        J, JGi = self._J[part], self._JGi[part]
+        X = np.empty(JGi.shape)
+        for l in range(self.grid.n):
+            if l != j:
+                np.multiply(JGi[:, j], J[b, l], out=X[:, l])
+        Mj = [2.0 * J[b, k] if k == j else J[b, k] for k in range(self.grid.n)]  # column j of M
+        np.multiply(JGi[:, 0], Mj[0], out=X[:, j])
+        for k in range(1, self.grid.n):
+            X[:, j] += JGi[:, k] * Mj[k]
+        np.negative(X, out=X)  # Y = E_bj - X
+        X[b, j] += 1.0
+        flux = small_matmul(X, self._Ginv[part])
+        flux += JGi[b, j] * JGi
         flux *= self._sqrtg[part]
         return flux
 
@@ -179,30 +230,22 @@ class SecondVariationForm:
         """H = w_c sum_c D_c^T K_c D_c as node blocks, shape (3^n, m, m) + counts.
 
         Entry [k, a, b] at node p couples (p, a) with (p + delta_k, b), where delta_k is
-        the k-th offset of {-1, 0, 1}^n in lexicographic order. K_c is applied to one unit
-        corner field E_bj at a time; the edge leaving corner nu along axis i touches, at
-        its end s, the node nu with entry i set to s, and differences with sign +-1/h_i.
-        Columns that ``corners_convex`` kept are consumed: they are freed on return.
+        the k-th offset of {-1, 0, 1}^n in lexicographic order. Column (b, j) of K_c is
+        ``_unit_flux(b, j)``, and ``_scatter_plan`` sends each of its entries (a, i) at
+        corner c to its four node blocks. Columns that ``corners_convex`` kept are
+        consumed: they are freed on return.
         """
         n, m, h = self.grid.n, self.m, self.grid.spacings
-        cells = cell_counts(self.grid)
+        plan = _scatter_plan(cell_counts(self.grid))
         blocks = np.zeros((3**n, m, m) + self.grid.counts)
         columns, self._kept_columns = self._hessian_columns(), None
         for (b, j), column in zip(itertools.product(range(m), range(n)), columns):
-            for c, nu in enumerate(corner_offsets(n)):
-                for i in range(n):
-                    k_ij = (self._wc / (h[i] * h[j])) * column[:, i, c]
-                    for s, t in itertools.product((0, 1), repeat=2):
-                        # offset from the row node (nu, entry i set to s) to the column node (entry j set to t)
-                        k = (3**n - 1) // 2 + (t - nu[j]) * 3 ** (n - 1 - j) - (s - nu[i]) * 3 ** (n - 1 - i)
-                        target = blocks[k, :, b][_edge(cells, nu, i, s)]
-                        (np.add if s == t else np.subtract)(target, k_ij, out=target)
+            for c, i, targets in plan[j]:
+                k_ij = (self._wc / (h[i] * h[j])) * column[:, i, c]
+                for k, edge, op in targets:
+                    target = blocks[k, :, b][edge]
+                    op(target, k_ij, out=target)
         return blocks
-
-    def _unit_fields(self) -> np.ndarray:
-        """The mn unit corner fields E_bj in (b, j) order, broadcasting over corners."""
-        mn, n = self.m * self.grid.n, self.grid.n
-        return np.eye(mn).reshape((mn, self.m, n) + (1,) * (n + 1))
 
     def _hessian_columns(self):
         """K_c E_bj for each unit corner field E_bj in (b, j) order, entries (a, i) per corner.
@@ -211,24 +254,25 @@ class SecondVariationForm:
         """
         if self._kept_columns is not None:
             return self._kept_columns
-        return (self._flux(unit) for unit in self._unit_fields())
+        return (self._unit_flux(b, j) for b, j in itertools.product(range(self.m), range(self.grid.n)))
 
     def corners_convex(self) -> bool:
         """Whether every corner Hessian K_c is positive definite, which makes H positive semidefinite.
 
-        Builds the columns of K_c and keeps them, so a later ``node_blocks`` applies no flux
-        again. It works in slabs of whole cell planes along the first axis, about
-        ``_CONVEXITY_CHUNK`` corners each, so the flux temporaries and the Cholesky copies
-        stay small. Newton assembles without this test and never holds the columns at once.
+        Builds the columns ``_unit_flux`` of K_c and keeps them, so a later ``node_blocks``
+        computes none again. It works in slabs of whole cell planes along the first axis,
+        about ``_CONVEXITY_CHUNK`` corners each, so the flux temporaries and the Cholesky
+        copies stay small. Newton assembles without this test and never holds the columns
+        at once.
         """
         mn, n = self.m * self.grid.n, self.grid.n
-        columns, units = np.empty((mn,) + self._J.shape), self._unit_fields()
+        columns = np.empty((mn,) + self._J.shape)
         planes = max(1, _CONVEXITY_CHUNK // self._sqrtg[:, 0].size)  # per slab
         convex = True
         for start in range(0, self._J.shape[3], planes):
             part = (Ellipsis, slice(start, start + planes)) + (slice(None),) * (n - 1)
-            for column, unit in zip(columns, units):
-                column[part] = self._flux(unit, part)
+            for column, (b, j) in zip(columns, itertools.product(range(self.m), range(n))):
+                column[part] = self._unit_flux(b, j, part)
             K = columns[(slice(None),) + part].reshape(mn, mn, -1).T  # per corner, [(a, i), (b, j)]
             if convex:
                 try:

@@ -288,12 +288,15 @@ def test_import_leaves_scipy_unloaded(module):
     assert not _loaded_after(f"import {module}", "scipy")
 
 
-def _run_code(tmp_path, doc):
-    """Code that runs ``minsurf run`` on ``doc`` in-process and checks that it exits 0."""
+def _run_code(tmp_path, doc, fmt="json"):
+    """Code that runs ``minsurf run`` on ``doc``, written as ``fmt`` (json or yaml), in-process and checks that it exits 0."""
     import json
 
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+    import yaml
+
+    path = tmp_path / f"config.{fmt}"
+    dump = json.dumps if fmt == "json" else yaml.safe_dump
+    path.write_text(dump({**doc, "output_dir": str(tmp_path / "out")}))
     return f"import minsurf.cli\nassert minsurf.cli.main(['run', {str(path)!r}]) == 0"
 
 
@@ -310,6 +313,13 @@ def test_loaded_after_sees_a_scipy_import():
 
 HOLOMORPHIC = {"family": "holomorphic_power", "amplitude": 0.3, "power": 3}
 SQUARE = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [9, 9]}
+
+
+@pytest.mark.parametrize("fmt,loaded", [("json", False), ("yaml", True)])
+def test_only_a_yaml_config_loads_yaml(tmp_path, fmt, loaded):
+    # the YAML config is the positive control: the probe sees the parser once a config needs it
+    doc = {"command": "solve", "grid": SQUARE, "boundary": HOLOMORPHIC}
+    assert _loaded_after(_run_code(tmp_path, doc, fmt), "yaml") is loaded
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,7 @@ from minsurf import (
     solve_dirichlet,
     stability_index,
 )
+from minsurf._stencils import _edge
 from minsurf.assembly import Factorization, NodeBlockOperator
 from minsurf.families import (
     affine_map,
@@ -364,17 +367,74 @@ def test_corner_convexity_of_solved_maps(amplitude, convex, monkeypatch):
 def test_corner_hessian_is_built_once_per_stability_index(monkeypatch):
     # the convexity test and the assembly share the m n corner flux columns; the 4^3
     # cells of this grid are one slab of the convexity test
-    real, calls = SecondVariationForm._flux, []
+    real, calls = SecondVariationForm._unit_flux, []
 
-    def counting(self, B, *part):
-        calls.append(B.shape)
-        return real(self, B, *part)
+    def counting(self, b, j, *part):
+        calls.append((b, j))
+        return real(self, b, j, *part)
 
-    monkeypatch.setattr(SecondVariationForm, "_flux", counting)
+    monkeypatch.setattr(SecondVariationForm, "_unit_flux", counting)
     grid = build_grid(3, [(0.0, 1.0)] * 3, (5, 5, 5))
     f = random_smooth_map(grid, 2, np.random.default_rng(0), amplitude=1.0)
     stability_index(f, warn=False)
     assert len(calls) == 2 * 3
+
+
+def anisotropic_form(n, m, seed=0):
+    """A second-variation form on a box with unequal sides and counts, at a random map."""
+    counts = tuple((9, 7, 5, 4)[n - 1] + i for i in range(n))
+    grid = build_grid(n, [(0.0, 1.0 + 0.37 * i) for i in range(n)], counts)
+    f = random_smooth_map(grid, m, np.random.default_rng(10 * n + m + seed), amplitude=2.0)
+    return SecondVariationForm(f, warn=False)
+
+
+def unit_corner_field(m, n, b, j):
+    E = np.zeros((m, n) + (1,) * (n + 1))
+    E[b, j] = 1.0
+    return E
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_unit_flux_is_the_flux_of_the_unit_field_bit_for_bit(n, m):
+    form = anisotropic_form(n, m)
+    # a slab of two cell planes along the first axis, as the convexity test cuts them
+    slab = (Ellipsis, slice(1, 3)) + (slice(None),) * (n - 1)
+    for b, j in itertools.product(range(m), range(n)):
+        flux = form._flux(unit_corner_field(m, n, b, j))
+        assert np.array_equal(form._unit_flux(b, j), flux)
+        assert np.array_equal(form._unit_flux(b, j, slab), flux[slab])
+
+
+def reference_node_blocks(form):
+    """The node blocks by the plain loop: ``_flux`` of each unit field, scattered through ``_edge``."""
+    n, m, h = form.grid.n, form.m, form.grid.spacings
+    cells = tuple(c - 1 for c in form.grid.counts)
+    blocks = np.zeros((3**n, m, m) + form.grid.counts)
+    for b, j in itertools.product(range(m), range(n)):
+        column = form._flux(unit_corner_field(m, n, b, j))
+        for c, nu in enumerate(itertools.product((0, 1), repeat=n)):
+            for i in range(n):
+                k_ij = (form._wc / (h[i] * h[j])) * column[:, i, c]
+                for s, t in itertools.product((0, 1), repeat=2):
+                    k = (3**n - 1) // 2 + (t - nu[j]) * 3 ** (n - 1 - j) - (s - nu[i]) * 3 ** (n - 1 - i)
+                    target = blocks[k, :, b][_edge(cells, nu, i, s)]
+                    (np.add if s == t else np.subtract)(target, k_ij, out=target)
+    return blocks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_node_blocks_are_the_reference_loop_bit_for_bit(n, m, monkeypatch):
+    import minsurf.variation
+
+    reference = reference_node_blocks(anisotropic_form(n, m))
+    assert np.array_equal(anisotropic_form(n, m).node_blocks(), reference)
+    # on the columns the convexity test kept, built one cell plane per slab
+    monkeypatch.setattr(minsurf.variation, "_CONVEXITY_CHUNK", 1)
+    form = anisotropic_form(n, m)
+    form.corners_convex()
+    assert np.array_equal(form.node_blocks(), reference)
 
 
 def test_distance_decreasing_minimal_graph_stable(unit_square):
