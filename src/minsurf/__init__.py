@@ -51,10 +51,8 @@ from .homotopy import (
 )
 from .serialize import load_map, map_from_document, map_to_document, save_map
 from .solver import (
-    ContinuationReport,
     SolveOutcome,
     SolverConfig,
-    continuation_solve,
     harmonic_extension,
     solve_dirichlet,
 )

@@ -24,8 +24,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import DomainGrid
-
 _LEAF_NODES = 8  # dissection blocks this small are not split further
 _FRONT_NODES = 32  # a subtree of at most this many nodes is one dense front
 PIVOT_TOL = 1e-11  # a pivot below this times the largest diagonal entry leaves the count uncertified
@@ -33,6 +31,11 @@ PIVOT_TOL = 1e-11  # a pivot below this times the largest diagonal entry leaves 
 
 @functools.lru_cache(maxsize=None)
 def _dissection_nodes(shape: tuple[int, ...]) -> np.ndarray:
+    """Nested-dissection order of the nodes of a box of this shape, read-only; ``Factorization`` eliminates in it.
+
+    The middle node plane across the longest axis separates the halves under a radius-one
+    stencil; the halves come first, each ordered the same way, then the plane.
+    """
     order = np.arange(int(np.prod(shape)))
     if order.size > _LEAF_NODES:
         ax = int(np.argmax(shape))
@@ -42,17 +45,6 @@ def _dissection_nodes(shape: tuple[int, ...]) -> np.ndarray:
         order = np.concatenate(halves + [plane.ravel()])
     order.setflags(write=False)
     return order
-
-
-def dissection_permutation(grid: DomainGrid, m: int) -> np.ndarray:
-    """Nested-dissection order of the interior dofs (node-major, components fastest).
-
-    The middle node plane across the longest axis of the interior box separates its halves
-    under a radius-one stencil; the halves come first, each ordered the same way, then the plane.
-    ``Factorization`` eliminates the dofs in this order.
-    """
-    nodes = _dissection_nodes(tuple(c - 2 for c in grid.counts))
-    return (nodes[:, None] * m + np.arange(m)).ravel()
 
 
 @functools.lru_cache(maxsize=None)

@@ -40,7 +40,7 @@ from .homotopy import (
 )
 from .report import emit_plot_data, sha256_file, to_jsonable, write_report
 from .serialize import save_map
-from .solver import _KeptFactor, continuation_solve, solve_dirichlet
+from .solver import _KeptFactor, harmonic_extension, solve_dirichlet
 from .variation import SecondVariationForm, VariationField, first_variation, stability_index
 
 EXIT_OK = 0
@@ -159,27 +159,37 @@ def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -
 
 
 def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
+    """Solve along the amplitudes in order; each step's stability check may iterate on its Newton factorization.
+
+    A step after a converged one starts from the harmonic extension of its boundary plus
+    the last solution's departure from the harmonic extension of its own, which is exactly
+    0 on the boundary; a step after a failed one starts from the harmonic extension alone.
+    """
     grid = cfg.grid.build()
     base = cfg.sweep.base.sample(grid)
-    sweep = continuation_solve(
-        lambda s: GridMap(grid=grid, values=s * base.values), cfg.sweep.amplitudes, cfg.solver
-    )
-    steps = []
-    for s, outcome in zip(sweep.amplitudes, sweep.outcomes):
+    steps, correction = [], None
+    for s in cfg.sweep.amplitudes:
+        harmonic = harmonic_extension(GridMap(grid=grid, values=s * base.values))
+        start = harmonic if correction is None else harmonic.with_interior_values(harmonic.values + correction)
+        kept = _KeptFactor()  # this step's Newton factorization, released when the next step makes its own
+        outcome = solve_dirichlet(harmonic, init=start, cfg=cfg.solver, kept=kept)
         step = {"amplitude": s, **outcome.summary()}
         step.pop("area_history")
         if not outcome.converged:
             failures.append(f"amplitude {s}: solver did not converge: {outcome.status}")
+            correction = None
         else:
+            correction = outcome.solution.values - harmonic.values
             spectrum = singular_spectrum(jacobian(outcome.solution))
             step["sup_lambda_max"] = spectrum.sup_lambda_max("interior")
             step["sup_two_jacobian"] = spectrum.sup_two_jacobian("interior")
             if cfg.sweep.stability:
-                st = _stability(outcome.solution, cfg, failures, where=f"amplitude {s}: ")
+                st = _stability(outcome.solution, cfg, failures, where=f"amplitude {s}: ", kept=kept)
                 step["min_eigenvalue"] = st.min_eigenvalue
                 step["stability_verdict"] = st.verdict
         steps.append(step)
-    results["sweep"] = {"steps": steps, "first_failure": sweep.first_failure}
+    first_failure = next((step["amplitude"] for step in steps if not step["converged"]), None)
+    results["sweep"] = {"steps": steps, "first_failure": first_failure}
     return EXIT_OPERATIONAL if failures else EXIT_OK
 
 

@@ -251,7 +251,10 @@ class MetricField:
     grid: DomainGrid
     values: np.ndarray  # counts + (n, n)
     det: np.ndarray  # counts
-    inverse: np.ndarray  # counts + (n, n)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.values)
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -264,4 +267,4 @@ def induced_metric(f: GridMap, J: JacobianField | None = None) -> MetricField:
         J = jacobian(f)
     n = f.grid.n
     G = np.einsum("...ai,...aj->...ij", J.values, J.values) + np.eye(n)
-    return MetricField(grid=f.grid, values=G, det=np.linalg.det(G), inverse=np.linalg.inv(G))
+    return MetricField(grid=f.grid, values=G, det=np.linalg.det(G))

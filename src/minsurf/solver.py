@@ -38,10 +38,8 @@ from .variation import SecondVariationForm
 __all__ = [
     "SolverConfig",
     "SolveOutcome",
-    "ContinuationReport",
     "harmonic_extension",
     "solve_dirichlet",
-    "continuation_solve",
 ]
 
 STATUS_CONVERGED = "converged"
@@ -130,8 +128,8 @@ class _KeptFactor:
 
     ``factor`` is None until the first Newton step. It lives as long as its holder: a
     ``solve_dirichlet`` that made it releases it on return, while the ``solve`` command
-    of ``minsurf run`` makes it, hands it to the solve and then to ``stability_index``,
-    whose iteration may run on it.
+    of ``minsurf run``, and each step of ``sweep``, makes it, hands it to the solve and
+    then to ``stability_index``, whose iteration may run on it.
 
     ``solve`` refines x <- x + F^-1 (rhs - H x) from x = 0 on the kept factorization F,
     the residual taken by H's own product, until it is at most ``REFINE_TOL`` times rhs.
@@ -290,44 +288,3 @@ def solve_dirichlet(
         areas.append(area)
         report = minimal_system_residual(f)
     return finish(STATUS_CONVERGED)
-
-
-@dataclass(frozen=True)
-class ContinuationReport(Summarized):
-    amplitudes: tuple[float, ...]
-    outcomes: tuple[SolveOutcome, ...]
-    first_failure: float | None
-
-
-def continuation_solve(
-    boundary_family,
-    amplitudes,
-    cfg: SolverConfig | None = None,
-) -> ContinuationReport:
-    """Solve along an amplitude sweep, warm-starting each step from the last.
-
-    ``boundary_family(s)`` returns the boundary map at amplitude s. Failed
-    steps are recorded and the sweep continues from the harmonic extension of
-    the next boundary.
-    """
-    amplitudes = tuple(float(s) for s in amplitudes)
-    if not amplitudes:
-        raise ValueError("need at least one amplitude")
-    outcomes = []
-    prev: GridMap | None = None
-    first_failure = None
-    for s in amplitudes:
-        boundary = boundary_family(s)
-        init = None
-        if prev is not None:
-            carried = boundary.values.copy()
-            carried[boundary.grid.interior_mask] = prev.values[boundary.grid.interior_mask]
-            init = GridMap(grid=boundary.grid, values=carried)
-        outcome = solve_dirichlet(boundary, init=init, cfg=cfg)
-        outcomes.append(outcome)
-        if not outcome.converged and first_failure is None:
-            first_failure = s
-        prev = outcome.solution if outcome.converged else None
-    return ContinuationReport(
-        amplitudes=amplitudes, outcomes=tuple(outcomes), first_failure=first_failure
-    )

@@ -326,6 +326,75 @@ def test_sweep_unconverged_solve_exit_2(tmp_path):
     assert any("amplitude 3.0" in msg for msg in report["assertion_failures"])
 
 
+def _sweep_steps(tmp_path, family, s_values, counts=(17, 17), stability=False):
+    n = len(counts)
+    doc = {
+        "command": "sweep",
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"extents": [[0.0, 1.0]] * n, "counts": list(counts)},
+        "sweep": {**family, "s_values": s_values, "stability": stability},
+    }
+    code, report = run(parse_config(doc))
+    assert code == 0
+    assert report["results"]["sweep"]["first_failure"] is None
+    return report["results"]["sweep"]["steps"]
+
+
+def test_sweep_affine_family_converges_at_every_step(tmp_path, rng):
+    affine = {"family": "affine", "matrix": rng.standard_normal((2, 2)).tolist()}
+    steps = _sweep_steps(tmp_path, affine, [0.0, 0.25, 0.5, 1.0])
+    assert all(step["converged"] and step["residual_sup_norm"] <= 1e-10 for step in steps)
+
+
+def test_sweep_zero_amplitude_is_the_zero_map(tmp_path):
+    holomorphic = {"family": "holomorphic_power", "amplitude": 1.0, "power": 3}
+    (step,) = _sweep_steps(tmp_path, holomorphic, [0.0])
+    assert step["iterations"] == 0 and step["residual_sup_norm"] == 0.0
+
+
+def test_sweep_holomorphic_stretch_grows_with_amplitude(tmp_path):
+    holomorphic = {"family": "holomorphic_power", "amplitude": 1.0, "power": 2}
+    steps = _sweep_steps(tmp_path, holomorphic, [0.1, 0.2, 0.3, 0.4, 0.5])
+    # stretch grows with the boundary amplitude; recorded, not assumed
+    assert np.all(np.diff([step["sup_lambda_max"] for step in steps]) > 0)
+
+
+def test_sweep_step_starts_from_the_last_correction(tmp_path):
+    # the last solution's departure from its harmonic extension, moved onto the new boundary,
+    # leaves one Newton factorization per step, within and beyond the corner-convex amplitudes
+    holomorphic = {"family": "holomorphic_power", "amplitude": 1.0, "power": 3}
+    steps = _sweep_steps(tmp_path, holomorphic, [0.1, 0.3, 0.5, 0.8, 1.2, 2.0])
+    assert [step["factorizations"] for step in steps] == [1] * 6
+
+
+def test_trigonometric_sweep_converges_at_every_step(tmp_path):
+    trigonometric = {
+        "family": "trigonometric",
+        "amplitudes": [1.0, 1.0],
+        "wavevectors": [[3.0, 1.0, 0.0], [0.0, 3.0, 1.0]],
+    }
+    steps = _sweep_steps(tmp_path, trigonometric, [1.0, 2.0, 3.0, 4.0], counts=(9, 9, 9))
+    assert all(step["converged"] for step in steps)
+
+
+def test_sweep_stability_iterates_on_the_step_factorization(tmp_path, monkeypatch):
+    import minsurf.assembly
+
+    calls = []
+    init = minsurf.assembly.Factorization.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(minsurf.assembly.Factorization, "__init__", counting)
+    holomorphic = {"family": "holomorphic_power", "amplitude": 1.0, "power": 3}
+    steps = _sweep_steps(tmp_path, holomorphic, [0.1, 0.3, 0.4], counts=(13, 13), stability=True)
+    assert [step["stability_verdict"] for step in steps] == ["stable"] * 3
+    # one Newton factorization per corner-convex step, which its stability check iterates on
+    assert len(calls) == len(steps)
+
+
 SWEEP_DOC = {
     "command": "sweep",
     "grid": {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [9, 9]},

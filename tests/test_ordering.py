@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 import minsurf.assembly as assembly
 import minsurf.solver as solver
 from minsurf import SecondVariationForm, SolverConfig, build_grid, solve_dirichlet, stability_index
-from minsurf.assembly import Factorization, dissection_permutation, hessian_matrix
+from minsurf.assembly import Factorization, hessian_matrix
 from minsurf.families import holomorphic_power_map, random_smooth_map
 from minsurf.solver import harmonic_extension
 
@@ -34,6 +34,12 @@ each_m = pytest.mark.parametrize("m", [1, 2, 3])
 def smooth_map(counts, extents, m):
     grid = build_grid(len(counts), extents, counts)
     return random_smooth_map(grid, m, np.random.default_rng(sum(counts) * 10 + m), amplitude=0.8)
+
+
+def dissection_permutation(grid, m):
+    """The order ``Factorization`` eliminates the interior dofs in (node-major, components fastest)."""
+    nodes = assembly._dissection_nodes(tuple(c - 2 for c in grid.counts))
+    return (nodes[:, None] * m + np.arange(m)).ravel()
 
 
 def dense(S):

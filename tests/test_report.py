@@ -23,7 +23,7 @@ from minsurf.homotopy import (
     uniqueness_experiment,
 )
 from minsurf.report import Summarized, to_jsonable
-from minsurf.solver import ContinuationReport, SolveOutcome, continuation_solve, solve_dirichlet
+from minsurf.solver import SolveOutcome, solve_dirichlet
 from minsurf.variation import StabilityReport, stability_index
 
 GRID = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [9, 9]}
@@ -44,13 +44,6 @@ def _homotopy():
 CASES = {
     AreaReport: (lambda: minimal_system_residual(_boundary()), {"residual"}, set()),
     SolveOutcome: (lambda: solve_dirichlet(_boundary()), {"solution"}, set()),
-    ContinuationReport: (
-        lambda: continuation_solve(
-            lambda s: GridMap(grid=_boundary().grid, values=s * _boundary().values), [0.5, 1.0]
-        ),
-        set(),
-        set(),
-    ),
     StabilityReport: (
         lambda: stability_index(solve_dirichlet(_boundary()).solution, warn=False),
         {"eigenvector"},

@@ -8,13 +8,10 @@ from minsurf import (
     GridMap,
     SolverConfig,
     build_grid,
-    continuation_solve,
     discrete_area,
     fd_gradient_check,
     harmonic_extension,
-    jacobian,
     minimal_system_residual,
-    singular_spectrum,
     solve_dirichlet,
 )
 from minsurf.families import (
@@ -112,48 +109,6 @@ def test_solve_records_init_hash(unit_square):
     )
     out3 = solve_dirichlet(boundary, init=perturbed)
     assert out3.init_hash != out1.init_hash
-
-
-def test_continuation_affine_family_all_converge(unit_square, rng):
-    A = rng.standard_normal((2, 2))
-    base = affine_map(unit_square, A)
-
-    def family(s):
-        return GridMap(grid=unit_square, values=s * base.values)
-
-    report = continuation_solve(family, [0.0, 0.25, 0.5, 1.0])
-    assert report.first_failure is None
-    for outcome in report.outcomes:
-        assert outcome.converged
-        assert outcome.residual_sup_norm <= 1e-10
-
-
-def test_continuation_zero_amplitude_gives_zero_map(unit_square):
-    base = holomorphic_power_map(unit_square, 1.0, 3)
-
-    def family(s):
-        return GridMap(grid=unit_square, values=s * base.values)
-
-    report = continuation_solve(family, [0.0])
-    assert report.outcomes[0].converged
-    assert np.abs(report.outcomes[0].solution.values).max() == 0.0
-
-
-def test_continuation_holomorphic_amplitude_sweep(unit_square):
-    base = holomorphic_power_map(unit_square, 1.0, 2)
-
-    def family(s):
-        return GridMap(grid=unit_square, values=s * base.values)
-
-    amplitudes = (0.1, 0.2, 0.3, 0.4, 0.5)
-    report = continuation_solve(family, amplitudes)
-    assert report.first_failure is None
-    sups = [
-        singular_spectrum(jacobian(o.solution)).sup_lambda_max("closure")
-        for o in report.outcomes
-    ]
-    # stretch grows with the boundary amplitude; recorded, not assumed
-    assert np.all(np.diff(sups) > 0)
 
 
 def test_descent_until_tolerance(unit_square, rng):
