@@ -319,12 +319,49 @@ def _blocks(lam, C):
         yield lam[start : start + SCORE_BLOCK], C[start : start + SCORE_BLOCK]
 
 
-def _campaign_columns(regime: SearchRegime, work, samples: int, seed: int, tol: float) -> list[tuple]:
-    """Run ``work(lam, C)`` on every block of ``samples`` points; one tuple per result slot.
+def _columns(regime: SearchRegime, lam, C) -> tuple:
+    """The worst cases of one block, one float per result slot of ``regime``'s campaign.
+
+    Distance-decreasing: min E1 - E2, max |E2 - E3|, min E3. Rank: max |F0 - F_diag -
+    F_offdiag|, then the mins of F0, F0 - F_diag - F_offdiag, F_diag - F_lower,
+    F_offdiag and F_lower. Every slot is relative to the sample scale.
+    """
+    scale = chain_scale(C)
+    if regime.chain == CHAIN_DD:
+        E1, E2, E3 = dd_chain_terms(lam, C)
+        return (
+            float(((E1 - E2) / scale).min()),
+            float((np.abs(E2 - E3) / scale).max()),
+            float((E3 / scale).min()),
+        )
+    F0, Fd, Fo, Fl = rank_chain_terms(lam, C, regime.p)
+    split = (F0 - Fd - Fo) / scale
+    return (
+        float(np.abs(split).max()),
+        float((F0 / scale).min()),
+        float(split.min()),
+        float(((Fd - Fl) / scale).min()),
+        float((Fo / scale).min()),
+        float((Fl / scale).min()),
+    )
+
+
+def _score_chunk(regime: SearchRegime, size: int, seed_sequence) -> list[tuple]:
+    """The ``_columns`` of every block of ``size`` points drawn from ``seed_sequence``.
+
+    Module-level, as is ``_columns``, so that a process pool pickles it by reference.
+    """
+    lam, C = regime.sample(np.random.default_rng(seed_sequence), size)
+    return [_columns(regime, *block) for block in _blocks(lam, C)]
+
+
+def _campaign_columns(regime: SearchRegime, samples: int, seed: int, tol: float, map=map) -> list[tuple]:
+    """``_columns`` of every block of ``samples`` points, transposed: one tuple per result slot.
 
     The points are drawn from ``regime`` in ``SAMPLE_CHUNK``-sized chunks, each
-    from its own child of ``SeedSequence(seed)``. Checks the arguments both
-    campaigns share, ``samples`` and ``tol``.
+    from its own child of ``SeedSequence(seed)``, and ``map(_score_chunk, ...)``
+    scores the chunks: a process pool's ``map`` gives the builtin's columns. Checks
+    the arguments both campaigns share, ``samples`` and ``tol``.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -332,10 +369,7 @@ def _campaign_columns(regime: SearchRegime, work, samples: int, seed: int, tol: 
         raise ValueError("tol must be positive")
     sizes = [min(SAMPLE_CHUNK, samples - start) for start in range(0, samples, SAMPLE_CHUNK)]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    rows = []
-    for size, ss in zip(sizes, children):
-        lam, C = regime.sample(np.random.default_rng(ss), size)
-        rows += [work(*block) for block in _blocks(lam, C)]
+    rows = [row for chunk in map(_score_chunk, [regime] * len(sizes), sizes, children) for row in chunk]
     return list(zip(*rows))
 
 
@@ -345,27 +379,19 @@ def run_dd_campaign(
     seed: int,
     lam_high: float = 1.0,
     tol: float = 1e-12,
+    map=map,
 ) -> CampaignReport:
     """Randomized verification of the distance-decreasing chain.
 
     Checks E1 >= E2 and the identity E2 = E3 unconditionally; E3 >= 0 is
     asserted only when the sampling box keeps every stretch at most one.
-    Margins are worst cases relative to the per-sample scale.
+    Margins are worst cases relative to the per-sample scale. ``map`` scores
+    the chunks (see ``_campaign_columns``); the report does not depend on it.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     regime = SearchRegime(CHAIN_DD, n, lam_high=lam_high)
-
-    def work(lam, C):
-        E1, E2, E3 = dd_chain_terms(lam, C)
-        scale = chain_scale(C)
-        return (
-            float(((E1 - E2) / scale).min()),
-            float((np.abs(E2 - E3) / scale).max()),
-            float((E3 / scale).min()),
-        )
-
-    e1_e2, identity, e3 = _campaign_columns(regime, work, samples, seed, tol)
+    e1_e2, identity, e3 = _campaign_columns(regime, samples, seed, tol, map)
     min_e1_e2 = min(e1_e2)
     max_identity = max(identity)
     min_e3 = min(e3)
@@ -394,30 +420,18 @@ def run_rank_campaign(
     samples: int,
     seed: int,
     tol: float = 1e-12,
+    map=map,
 ) -> CampaignReport:
     """Randomized verification of the rank chain inside its hypotheses.
 
     Checks the identity F0 = F_diag + F_offdiag to ``tol`` in absolute value.
+    ``map`` scores the chunks, as in ``run_dd_campaign``.
     """
     if min(n, p) < 2:
         raise ValueError("need n >= 2 and p >= 2")
     regime = SearchRegime(CHAIN_RANK, n, p=p)
-
-    def work(lam, C):
-        F0, Fd, Fo, Fl = rank_chain_terms(lam, C, p)
-        scale = chain_scale(C)
-        split = (F0 - Fd - Fo) / scale
-        return (
-            float(np.abs(split).max()),
-            float((F0 / scale).min()),
-            float(split.min()),
-            float(((Fd - Fl) / scale).min()),
-            float((Fo / scale).min()),
-            float((Fl / scale).min()),
-        )
-
     names = ("min_F0", "min_F0_minus_split", "min_Fdiag_minus_Flower", "min_Foffdiag", "min_Flower")
-    identity, *columns = _campaign_columns(regime, work, samples, seed, tol)
+    identity, *columns = _campaign_columns(regime, samples, seed, tol, map)
     margins = {name: min(col) for name, col in zip(names, columns)}
     max_identity = max(identity)
     passed = all(v >= -tol for v in margins.values()) and max_identity <= tol

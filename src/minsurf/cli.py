@@ -11,8 +11,10 @@ usable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -100,7 +102,7 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
     return verdict
 
 
-def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
+def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
     grid = cfg.grid.build()
     boundary = cfg.boundary.sample(grid)
     kept = _KeptFactor()  # Newton's last factorization, which the stability check may iterate on
@@ -114,7 +116,7 @@ def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
     return EXIT_OPERATIONAL if failures else EXIT_OK
 
 
-def _cmd_analyze(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
+def _cmd_analyze(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
     grid = cfg.grid.build()
     f = cfg.boundary.sample(grid)
     fields["solution"] = f
@@ -122,7 +124,7 @@ def _cmd_analyze(cfg: RunConfig, results: dict, failures: list, fields: dict) ->
     return EXIT_OPERATIONAL if failures else EXIT_OK
 
 
-def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
+def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
     grid = cfg.grid.build()
     rng = np.random.default_rng(cfg.seed)
     f0 = _sample_endpoint(cfg.homotopy.f0, grid, cfg, rng)
@@ -158,7 +160,7 @@ def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict) -
     return code
 
 
-def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
+def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
     """Solve along the amplitudes in order; each step's stability check may iterate on its Newton factorization.
 
     A step after a converged one starts from the harmonic extension of its boundary plus
@@ -193,22 +195,69 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict) -> i
     return EXIT_OPERATIONAL if failures else EXIT_OK
 
 
-def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
+PR_SET_PDEATHSIG = 1  # prctl option: the signal a process gets when its parent dies
+
+
+def _die_with(parent: int):
+    """Pool initializer: the worker is killed when ``parent`` dies, so a killed command leaves no worker."""
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # it died before the call
+        os._exit(1)
+
+
+@contextlib.contextmanager
+def _chunk_map(timings: dict):
+    """A ``map`` for the campaigns' chunks: a process pool's, one worker per usable CPU, or the builtin.
+
+    The pool (Linux only) is fork-started, since a spawned or forkserver worker would
+    import numpy and minsurf again; the executor forks every worker at its first task,
+    before it starts a thread of its own. It is shut down, its workers joined, when the
+    block ends. The number of processes that score chunks goes to ``timings["oracle_workers"]``.
+    """
+    workers = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
+    timings["oracle_workers"] = workers
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_die_with, initargs=(os.getpid(),))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
+    """Campaigns, their chunks scored through ``_chunk_map``, then the searches.
+
+    Each campaign and search is called here, by the name this module imports it under,
+    so a wrapper put on that name sees every call; only chunks go to the pool.
+    """
     spec = cfg.oracle
     campaigns = []
     # one seed per campaign and search, in run order
     count = len(spec.dd_ns) + len(spec.rank_nps) + len(spec.searches)
     child = iter(np.random.SeedSequence(cfg.seed).generate_state(count).tolist())
-    for n in spec.dd_ns:
-        rep = run_dd_campaign(n, spec.samples, seed=next(child), lam_high=spec.lambda_high, tol=spec.tol)
-        campaigns.append(rep.summary())
-        if not rep.passed:
-            failures.append(f"distance-decreasing chain violated inside hypotheses at n={n}")
-    for n, p in spec.rank_nps:
-        rep = run_rank_campaign(n, p, spec.samples, seed=next(child), tol=spec.tol)
-        campaigns.append(rep.summary())
-        if not rep.passed:
-            failures.append(f"rank chain violated inside hypotheses at n={n}, p={p}")
+    with _chunk_map(timings) as chunk_map:
+        for n in spec.dd_ns:
+            rep = run_dd_campaign(
+                n, spec.samples, seed=next(child), lam_high=spec.lambda_high, tol=spec.tol, map=chunk_map
+            )
+            campaigns.append(rep.summary())
+            if not rep.passed:
+                failures.append(f"distance-decreasing chain violated inside hypotheses at n={n}")
+        for n, p in spec.rank_nps:
+            rep = run_rank_campaign(n, p, spec.samples, seed=next(child), tol=spec.tol, map=chunk_map)
+            campaigns.append(rep.summary())
+            if not rep.passed:
+                failures.append(f"rank chain violated inside hypotheses at n={n}, p={p}")
     results["campaigns"] = campaigns
     searches = []
     for search in spec.searches:
@@ -222,7 +271,7 @@ def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict) -> 
     return EXIT_ASSERTION if failures else EXIT_OK
 
 
-def _cmd_validate(cfg: RunConfig, results: dict, failures: list, fields: dict) -> int:
+def _cmd_validate(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
     """Built-in verification suite at small sizes."""
     spec = cfg.validate
     rng = np.random.default_rng(cfg.seed)
@@ -344,7 +393,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     started = time.perf_counter()
     exit_code = EXIT_OK
     try:
-        exit_code = _HANDLERS[cfg.command](cfg, results, failures, fields)
+        exit_code = _HANDLERS[cfg.command](cfg, results, failures, fields, timings)
     except ContradictionDetected as exc:
         failures.append(str(exc))
         exit_code = EXIT_ASSERTION

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -259,8 +261,8 @@ def test_campaigns_draw_one_seed_sequence_child_per_chunk():
     assert rank.identity_max_defect == max(float(row[5].max()) for row in rank_rows)
 
 
-def _loaded_after(code, package):
-    """Whether running ``code`` in a fresh interpreter imports ``package`` or one of its modules."""
+def _loaded_after(code, *packages):
+    """Whether running ``code`` in a fresh interpreter imports one of ``packages`` or one of their modules."""
     import subprocess
     import sys
     from pathlib import Path
@@ -268,7 +270,7 @@ def _loaded_after(code, package):
     import minsurf
 
     src = str(Path(minsurf.__file__).resolve().parent.parent)
-    probe = f"import sys; print(any(m == {package!r} or m.startswith({package + '.'!r}) for m in sys.modules))"
+    probe = f"import sys; print(any(m == p or m.startswith(p + '.') for m in sys.modules for p in {packages!r}))"
     out = subprocess.run(
         [sys.executable, "-c", f"{code}\n{probe}"],
         env={"PYTHONPATH": src, "PATH": ""},
@@ -322,7 +324,7 @@ def test_only_a_yaml_config_loads_yaml(tmp_path, fmt, loaded):
     assert _loaded_after(_run_code(tmp_path, doc, fmt), "yaml") is loaded
 
 
-@pytest.mark.parametrize(
+_PDE_RUNS = pytest.mark.parametrize(
     "doc",
     [
         {"command": "solve", "grid": SQUARE, "boundary": HOLOMORPHIC, "stability": {"enabled": True}},
@@ -349,8 +351,31 @@ def test_only_a_yaml_config_loads_yaml(tmp_path, fmt, loaded):
     ],
     ids=["solve", "analyze", "homotopy", "sweep", "validate"],
 )
+
+
+@_PDE_RUNS
 def test_pde_runs_leave_scipy_unloaded(tmp_path, doc):
     assert not _loaded_after(_run_code(tmp_path, doc), "scipy")
+
+
+_POOL = ("concurrent.futures", "multiprocessing")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    assert not _loaded_after("import minsurf.cli", *_POOL)
+
+
+@_PDE_RUNS
+def test_pde_runs_leave_the_process_pool_unloaded(tmp_path, doc):
+    assert not _loaded_after(_run_code(tmp_path, doc), *_POOL)
+
+
+@pytest.mark.parametrize("package", _POOL)
+def test_oracle_run_loads_the_process_pool_on_two_or_more_cpus(tmp_path, package):
+    # positive control: the probe sees the pool's imports where the oracle opens one
+    oracle = {"samples": 2_000, "n_values": [2], "p_values": [2], "searches": []}
+    pool = len(os.sched_getaffinity(0)) > 1
+    assert _loaded_after(_run_code(tmp_path, {"command": "oracle", "oracle": oracle}), package) is pool
 
 
 def test_found_search_leaves_optimizer_unloaded():

@@ -1,4 +1,10 @@
+import functools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -6,6 +12,8 @@ import numpy as np
 import pytest
 import yaml
 
+import minsurf.chains
+import minsurf.cli
 from minsurf import ConfigError, NotMinimalWarning, build_grid, save_map
 from minsurf.cli import main, run
 from minsurf.config import load_config, parse_config
@@ -179,6 +187,120 @@ def test_oracle_workload_outcomes(tmp_path, seed):
     assert dd_witness["found"] and abs(dd_witness["best_margin"] + 0.3) <= 1e-9
     assert rank_witness["found"]
     assert not dd_inside["found"]
+
+
+def _oracle_run(tmp_path, name, cpus, monkeypatch):
+    """The reduced oracle config, run as if this process may use ``cpus``: a pool when there are two or more."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    out = tmp_path / name
+    code, report = run(parse_config({"command": "oracle", "seed": 29000, "output_dir": str(out), "oracle": _ORACLE_SET}))
+    assert multiprocessing.active_children() == []
+    assert report["timings"]["oracle_workers"] == len(cpus)
+    return code, report, out
+
+
+def test_pool_and_serial_oracle_runs_write_the_same_bytes(tmp_path, monkeypatch):
+    docs, tables = [], []
+    for name, cpus in (("pool", {0, 1}), ("serial", {0})):
+        code, _, out = _oracle_run(tmp_path, name, cpus, monkeypatch)
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        for volatile in ("timestamp", "timings"):
+            doc.pop(volatile)
+        doc["config"].pop("output_dir")
+        docs.append(doc)
+        tables.append((out / "oracle_violations.csv").read_bytes())
+    assert docs[0] == docs[1]
+    assert tables[0] == tables[1]
+    assert docs[0]["results"]["searches"][0]["found"]  # the table holds a witness
+
+
+def test_a_dead_worker_ends_the_oracle_run(tmp_path, monkeypatch):
+    # forked workers inherit the patch; the parent never scores a chunk itself
+    monkeypatch.setattr(minsurf.chains, "_columns", lambda *args: os._exit(3))
+    code, report, out = _oracle_run(tmp_path, "out", {0, 1}, monkeypatch)
+    assert code == 2
+    assert len(report["assertion_failures"]) == 1 and "BrokenProcessPool" in report["assertion_failures"][0]
+    assert json.loads((out / "report.json").read_text())["exit_code"] == 2
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "serial"])
+def test_a_failing_chunk_ends_the_oracle_run(tmp_path, monkeypatch, cpus):
+    def fail(*args):
+        raise ValueError("no chunk scored")
+
+    monkeypatch.setattr(minsurf.chains, "_columns", fail)
+    code, report, _ = _oracle_run(tmp_path, "out", cpus, monkeypatch)
+    assert code == 2
+    assert report["assertion_failures"] == ["ValueError: no chunk scored"]
+
+
+def _alive(pid):
+    """Whether process ``pid`` exists and is not a zombie, read from /proc."""
+    try:
+        return (Path("/proc") / str(pid) / "stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _children(pid):
+    """The live processes whose parent is ``pid``."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _poll(predicate, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the oracle opens a pool only on two or more CPUs")
+def test_a_killed_oracle_command_leaves_no_worker(tmp_path):
+    # campaigns long enough to be killed while the pool is open
+    oracle = {"samples": 4_000_000, "n_values": [4], "p_values": [2], "searches": []}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": "oracle", "output_dir": str(tmp_path / "out"), "oracle": oracle}))
+    env = {**os.environ, "PYTHONPATH": str(Path(minsurf.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "minsurf.cli", "run", str(path)], env=env)
+    try:
+        assert _poll(lambda: len(_children(proc.pid)) == len(os.sched_getaffinity(0)))
+        workers = _children(proc.pid)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert _poll(lambda: not any(_alive(pid) for pid in workers))
+
+
+def test_benchmark_hooks_on_the_oracle_run_in_this_process(tmp_path, monkeypatch):
+    # wrapped as perfbench/child.py's SpanRecorder.wrap does: such a closure does not pickle
+    calls = {}
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            calls.setdefault(name, []).append(os.getpid())
+            return fn(*args, **kwargs)
+
+        return traced
+
+    for name in ("run_dd_campaign", "run_rank_campaign", "counterexample_search"):
+        monkeypatch.setattr(minsurf.cli, name, wrap(name, getattr(minsurf.cli, name)))
+    code, report, _ = _oracle_run(tmp_path, "out", {0, 1}, monkeypatch)
+    assert code == 0, report["assertion_failures"]
+    assert calls == {
+        "run_dd_campaign": [os.getpid()] * 3,
+        "run_rank_campaign": [os.getpid()] * 5,
+        "counterexample_search": [os.getpid()] * 3,
+    }
 
 
 def test_homotopy_command_emits_profile_csv(tmp_path):
