@@ -36,6 +36,12 @@ says whether the whole box lies inside the hypotheses, for campaigns and
 searches alike. Both draw ``SAMPLE_CHUNK`` samples at a time, score each drawn
 chunk ``SCORE_BLOCK`` samples at a time, and judge margins against one
 tolerance ``tol``, which the CLI takes from ``oracle.tol``.
+
+``_chunk_calls`` lists a campaign's or search's chunks as calls that a ``map``
+(a process pool's, say) may score in any order. Campaign chunk k draws from
+child k of ``SeedSequence(seed)``. Search chunk k continues the stream of
+``default_rng(seed)``: it starts from ``PCG64(seed)`` advanced past the
+``SearchRegime.draws`` 64-bit draws of each point before it.
 """
 
 from __future__ import annotations
@@ -279,6 +285,12 @@ class SearchRegime:
         factor = np.where(prod > bound, np.sqrt(bound / np.maximum(prod, 1e-300)), 1.0)
         return lam * factor[..., None]
 
+    @property
+    def draws(self) -> int:
+        """64-bit draws ``sample`` takes per point: one per double (stretches, rank keys, pairings)."""
+        keys = self.n if self.chain == CHAIN_RANK and self.p < self.n else 0
+        return self.n + keys + self.n * self.n
+
     def sample(self, rng: np.random.Generator, count: int):
         """``count`` uniform points: spectra (count, n) and pairings (count, n, n)."""
         lam = rng.uniform(self.lam_low, self.lam_high, size=(count, self.n))
@@ -346,30 +358,58 @@ def _columns(regime: SearchRegime, lam, C) -> tuple:
     )
 
 
-def _score_chunk(regime: SearchRegime, size: int, seed_sequence) -> list[tuple]:
-    """The ``_columns`` of every block of ``size`` points drawn from ``seed_sequence``.
+def _score_chunk(regime: SearchRegime, seed: int, k: int, size: int) -> list[tuple]:
+    """The ``_columns`` of every block of campaign chunk ``k``: ``size`` points drawn from
+    child k of ``SeedSequence(seed)``.
 
     Module-level, as is ``_columns``, so that a process pool pickles it by reference.
     """
-    lam, C = regime.sample(np.random.default_rng(seed_sequence), size)
+    lam, C = regime.sample(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), size)
     return [_columns(regime, *block) for block in _blocks(lam, C)]
+
+
+def _search_chunk(regime: SearchRegime, seed: int, k: int, size: int) -> tuple:
+    """(margin, lam, C) of the first point of least margin in search chunk ``k``.
+
+    The chunk is the ``size`` points of ``default_rng(seed)``'s stream from point
+    k * SAMPLE_CHUNK on, scored ``SCORE_BLOCK`` at a time.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed).advance(k * SAMPLE_CHUNK * regime.draws))
+    lam, C = regime.sample(rng, size)
+    margins = np.concatenate([regime.margin(*block) for block in _blocks(lam, C)])
+    i = int(np.argmin(margins))
+    return float(margins[i]), lam[i].copy(), C[i].copy()  # copies, so the chunk is freed
+
+
+def _chunk_calls(regime: SearchRegime, samples: int, seed: int, search: bool = False) -> tuple:
+    """The chunks of a campaign, or with ``search`` of a search: (function, one argument tuple per chunk).
+
+    ``samples`` points of ``regime`` in ``SAMPLE_CHUNK``-sized chunks, scored by
+    ``_score_chunk`` or ``_search_chunk``. The arguments are plain values, so two
+    lists of the same chunks compare equal.
+    """
+    starts = range(0, samples, SAMPLE_CHUNK)
+    calls = [(regime, seed, k, min(SAMPLE_CHUNK, samples - start)) for k, start in enumerate(starts)]
+    return (_search_chunk if search else _score_chunk), calls
+
+
+def _campaign_regime(n: int, p: int | None = None, lam_high: float = 1.0) -> SearchRegime:
+    """The sampling box of a distance-decreasing campaign (``p`` None) or of a rank campaign."""
+    return SearchRegime(CHAIN_DD, n, lam_high=lam_high) if p is None else SearchRegime(CHAIN_RANK, n, p=p)
 
 
 def _campaign_columns(regime: SearchRegime, samples: int, seed: int, tol: float, map=map) -> list[tuple]:
     """``_columns`` of every block of ``samples`` points, transposed: one tuple per result slot.
 
-    The points are drawn from ``regime`` in ``SAMPLE_CHUNK``-sized chunks, each
-    from its own child of ``SeedSequence(seed)``, and ``map(_score_chunk, ...)``
-    scores the chunks: a process pool's ``map`` gives the builtin's columns. Checks
-    the arguments both campaigns share, ``samples`` and ``tol``.
+    ``map`` scores the chunks of ``_chunk_calls``: a process pool's ``map`` gives the
+    builtin's columns. Checks the arguments both campaigns share, ``samples`` and ``tol``.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
-    sizes = [min(SAMPLE_CHUNK, samples - start) for start in range(0, samples, SAMPLE_CHUNK)]
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    rows = [row for chunk in map(_score_chunk, [regime] * len(sizes), sizes, children) for row in chunk]
+    score, calls = _chunk_calls(regime, samples, seed)
+    rows = [row for chunk in map(score, *zip(*calls)) for row in chunk]
     return list(zip(*rows))
 
 
@@ -390,7 +430,7 @@ def run_dd_campaign(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    regime = SearchRegime(CHAIN_DD, n, lam_high=lam_high)
+    regime = _campaign_regime(n, lam_high=lam_high)
     e1_e2, identity, e3 = _campaign_columns(regime, samples, seed, tol, map)
     min_e1_e2 = min(e1_e2)
     max_identity = max(identity)
@@ -429,7 +469,7 @@ def run_rank_campaign(
     """
     if min(n, p) < 2:
         raise ValueError("need n >= 2 and p >= 2")
-    regime = SearchRegime(CHAIN_RANK, n, p=p)
+    regime = _campaign_regime(n, p)
     names = ("min_F0", "min_F0_minus_split", "min_Fdiag_minus_Flower", "min_Foffdiag", "min_Flower")
     identity, *columns = _campaign_columns(regime, samples, seed, tol, map)
     margins = {name: min(col) for name, col in zip(names, columns)}
@@ -506,39 +546,27 @@ def counterexample_search(
     budget: int,
     seed: int = 0,
     tol: float = 1e-12,
+    map=map,
 ) -> SearchReport:
     """Random search for chain violations in a regime.
 
     Scores the analytic seeds, then ``budget`` points drawn from
     ``default_rng(seed)`` ``SAMPLE_CHUNK`` at a time and scored ``SCORE_BLOCK``
     at a time, and reports the first one with the most negative margin.
-    Absence of a counterexample inside the hypotheses is reported as such,
-    not claimed as a proof.
+    ``map`` scores the chunks (see ``_chunk_calls``); the report does not
+    depend on it. Absence of a counterexample inside the hypotheses is
+    reported as such, not claimed as a proof.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
     seeds = _analytic_seeds(regime)
-
-    def batches():
-        yield seeds
-        for start in range(0, budget, SAMPLE_CHUNK):
-            yield from _blocks(*regime.sample(rng, min(SAMPLE_CHUNK, budget - start)))
-
-    best_margin, best = np.inf, None
-    for lam, C in batches():
-        margins = regime.margin(lam, C)
-        if margins.size == 0:
-            continue
-        k = int(np.argmin(margins))
-        if margins[k] < best_margin:
-            best_margin = float(margins[k])
-            best = (lam[k].copy(), C[k].copy())
-
+    search, calls = _chunk_calls(regime, budget, seed, search=True)
+    # min keeps the first of equal margins, as each chunk keeps its first
+    candidates = [(float(m), lam, C) for m, lam, C in zip(regime.margin(*seeds), *seeds)]
+    best_margin, blam, bC = min([*candidates, *map(search, *zip(*calls))], key=lambda best: best[0])
     found = best_margin < -tol
-    blam, bC = best
     values = None
     if found:
         if regime.chain == CHAIN_DD:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .area import codim1_residual, fd_gradient_check, minimal_system_residual
-from .chains import counterexample_search, run_dd_campaign, run_rank_campaign
+from .chains import _campaign_regime, _chunk_calls, counterexample_search, run_dd_campaign, run_rank_campaign
 from .config import MapSpec, RunConfig, load_config, parse_config
 from .criteria import criteria_report
 from .errors import ConfigError, ContradictionDetected
@@ -211,13 +211,17 @@ def _die_with(parent: int):
 
 
 @contextlib.contextmanager
-def _chunk_map(timings: dict):
-    """A ``map`` for the campaigns' chunks: a process pool's, one worker per usable CPU, or the builtin.
+def _chunk_map(timings: dict, plan: list):
+    """A ``map`` for the chunk calls in ``plan``, pairs (function, argument tuples) in run order.
 
-    The pool (Linux only) is fork-started, since a spawned or forkserver worker would
-    import numpy and minsurf again; the executor forks every worker at its first task,
-    before it starts a thread of its own. It is shut down, its workers joined, when the
-    block ends. The number of processes that score chunks goes to ``timings["oracle_workers"]``.
+    With one worker per usable CPU (Linux only) and more than one, the block starts with
+    every planned chunk submitted to a process pool, and each call, in run order, gets the
+    results submitted for it; a call that is not the next one planned raises RuntimeError.
+    Otherwise it is the builtin. The pool is fork-started, since a spawned or forkserver
+    worker would import numpy and minsurf again; the executor forks every worker at its
+    first task, before it starts a thread of its own. It is shut down, its workers joined,
+    when the block ends. The number of processes that score chunks goes to
+    ``timings["oracle_workers"]``.
     """
     workers = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
     timings["oracle_workers"] = workers
@@ -229,44 +233,55 @@ def _chunk_map(timings: dict):
 
     pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_die_with, initargs=(os.getpid(),))
     try:
-        yield pool.map
+        queued = iter([(fn, calls, [pool.submit(fn, *args) for args in calls]) for fn, calls in plan])
+
+        def planned_map(fn, *iterables):
+            want_fn, want_calls, futures = next(queued, (None, None, None))
+            if (fn, list(zip(*iterables))) != (want_fn, want_calls):
+                raise RuntimeError(f"the oracle did not plan this {fn.__name__} call")
+            return [future.result() for future in futures]
+
+        yield planned_map
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _cmd_oracle(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
-    """Campaigns, their chunks scored through ``_chunk_map``, then the searches.
+    """Campaigns, then searches, every chunk of them scored through one ``_chunk_map``.
 
     Each campaign and search is called here, by the name this module imports it under,
-    so a wrapper put on that name sees every call; only chunks go to the pool.
+    so a wrapper put on that name sees every call; only their chunks go to the pool,
+    all of them queued before the first campaign runs.
     """
     spec = cfg.oracle
-    campaigns = []
     # one seed per campaign and search, in run order
     count = len(spec.dd_ns) + len(spec.rank_nps) + len(spec.searches)
     child = iter(np.random.SeedSequence(cfg.seed).generate_state(count).tolist())
-    with _chunk_map(timings) as chunk_map:
-        for n in spec.dd_ns:
-            rep = run_dd_campaign(
-                n, spec.samples, seed=next(child), lam_high=spec.lambda_high, tol=spec.tol, map=chunk_map
-            )
+    dd_runs = [(n, next(child)) for n in spec.dd_ns]
+    rank_runs = [(n, p, next(child)) for n, p in spec.rank_nps]
+    search_runs = [(search, next(child)) for search in spec.searches]
+    lam_high = spec.lambda_high
+    plan = [_chunk_calls(_campaign_regime(n, lam_high=lam_high), spec.samples, seed) for n, seed in dd_runs]
+    plan += [_chunk_calls(_campaign_regime(n, p), spec.samples, seed) for n, p, seed in rank_runs]
+    plan += [_chunk_calls(search, search.budget, seed, search=True) for search, seed in search_runs]
+    campaigns, searches = [], []
+    with _chunk_map(timings, plan) as chunk_map:
+        for n, seed in dd_runs:
+            rep = run_dd_campaign(n, spec.samples, seed=seed, lam_high=lam_high, tol=spec.tol, map=chunk_map)
             campaigns.append(rep.summary())
             if not rep.passed:
                 failures.append(f"distance-decreasing chain violated inside hypotheses at n={n}")
-        for n, p in spec.rank_nps:
-            rep = run_rank_campaign(n, p, spec.samples, seed=next(child), tol=spec.tol, map=chunk_map)
+        for n, p, seed in rank_runs:
+            rep = run_rank_campaign(n, p, spec.samples, seed=seed, tol=spec.tol, map=chunk_map)
             campaigns.append(rep.summary())
             if not rep.passed:
                 failures.append(f"rank chain violated inside hypotheses at n={n}, p={p}")
-    results["campaigns"] = campaigns
-    searches = []
-    for search in spec.searches:
-        report = counterexample_search(search, search.budget, seed=next(child), tol=spec.tol)
-        searches.append(report.summary())
-        if search.in_hypothesis and report.found:
-            failures.append(
-                f"counterexample found inside hypotheses ({search.chain}, n={search.n})"
-            )
+        results["campaigns"] = campaigns
+        for search, seed in search_runs:
+            report = counterexample_search(search, search.budget, seed=seed, tol=spec.tol, map=chunk_map)
+            searches.append(report.summary())
+            if search.in_hypothesis and report.found:
+                failures.append(f"counterexample found inside hypotheses ({search.chain}, n={search.n})")
     results["searches"] = searches
     return EXIT_ASSERTION if failures else EXIT_OK
 

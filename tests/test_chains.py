@@ -19,6 +19,7 @@ from minsurf.chains import (
     SAMPLE_CHUNK,
     SCORE_BLOCK,
     _analytic_seeds,
+    _search_chunk,
     chain_scale,
     dd_chain_terms,
     rank_chain_terms,
@@ -228,6 +229,39 @@ def test_search_regime_validation():
 def test_distance_decreasing_regime_rejects_p():
     with pytest.raises(ValueError, match="p applies to the rank chain only"):
         SearchRegime(chain="distance_decreasing", n=2, p=5)
+
+
+@pytest.mark.parametrize(
+    "regime, per_point",
+    [
+        (SearchRegime(chain="distance_decreasing", n=3, lam_high=2.0), 3 + 9),
+        (SearchRegime(chain="rank", n=4, p=2, cap_products=False), 4 + 4 + 16),  # p < n: one key per stretch
+        (SearchRegime(chain="rank", n=3, p=3), 3 + 9),
+        (SearchRegime(chain="distance_decreasing", n=2, lam_low=0.5, lam_high=0.5), 2 + 4),
+    ],
+    ids=["distance_decreasing", "rank-p<n", "rank-p=n", "lam_low=lam_high"],
+)
+def test_a_sample_takes_one_64_bit_draw_per_double(regime, per_point):
+    # a search's chunk k starts from PCG64(seed) advanced past the draws of the chunks
+    # before it; if numpy changed how these draws are taken, searches would change silently
+    assert regime.draws == per_point
+    rng = np.random.default_rng(17)
+    regime.sample(rng, 1_000)
+    assert rng.bit_generator.state == np.random.PCG64(17).advance(1_000 * per_point).state
+
+
+def test_search_chunks_score_the_points_of_the_serial_stream():
+    regime = SearchRegime(chain="rank", n=3, p=2, lam_high=1.5, cap_products=False)
+    rng = np.random.default_rng(8)
+    draws = [regime.sample(rng, size) for size in (SAMPLE_CHUNK, SAMPLE_CHUNK, 7)]
+    lam, C = (np.concatenate(parts) for parts in zip(*draws))
+    margins = regime.margin(lam, C)
+    for k, size in enumerate((SAMPLE_CHUNK, SAMPLE_CHUNK, 7)):
+        start = k * SAMPLE_CHUNK
+        i = start + int(np.argmin(margins[start : start + size]))
+        margin, best_lam, best_C = _search_chunk(regime, 8, k, size)
+        assert margin == margins[i]
+        assert np.array_equal(best_lam, lam[i]) and np.array_equal(best_C, C[i])
 
 
 def _chunk_draws(regime, seed, samples):

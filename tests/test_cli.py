@@ -14,7 +14,8 @@ import yaml
 
 import minsurf.chains
 import minsurf.cli
-from minsurf import ConfigError, NotMinimalWarning, build_grid, save_map
+from minsurf import ConfigError, NotMinimalWarning, SearchRegime, build_grid, counterexample_search, save_map
+from minsurf.chains import SAMPLE_CHUNK, _chunk_calls
 from minsurf.cli import main, run
 from minsurf.config import load_config, parse_config
 from minsurf.families import holomorphic_power_map
@@ -189,11 +190,11 @@ def test_oracle_workload_outcomes(tmp_path, seed):
     assert not dd_inside["found"]
 
 
-def _oracle_run(tmp_path, name, cpus, monkeypatch):
+def _oracle_run(tmp_path, name, cpus, monkeypatch, oracle=_ORACLE_SET):
     """The reduced oracle config, run as if this process may use ``cpus``: a pool when there are two or more."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     out = tmp_path / name
-    code, report = run(parse_config({"command": "oracle", "seed": 29000, "output_dir": str(out), "oracle": _ORACLE_SET}))
+    code, report = run(parse_config({"command": "oracle", "seed": 29000, "output_dir": str(out), "oracle": oracle}))
     assert multiprocessing.active_children() == []
     assert report["timings"]["oracle_workers"] == len(cpus)
     return code, report, out
@@ -213,6 +214,47 @@ def test_pool_and_serial_oracle_runs_write_the_same_bytes(tmp_path, monkeypatch)
     assert docs[0] == docs[1]
     assert tables[0] == tables[1]
     assert docs[0]["results"]["searches"][0]["found"]  # the table holds a witness
+
+
+def test_pool_and_serial_agree_on_a_search_whose_best_point_is_past_its_first_chunk(tmp_path, monkeypatch):
+    regime = {"chain": "rank", "n": 3, "p": 2, "lam_high": 1.5, "cap_products": False}
+    budget = 2 * SAMPLE_CHUNK + 1_234  # three chunks, the last a short one
+    oracle = dict(_ORACLE_SET, searches=[*_ORACLE_SET["searches"], dict(regime, budget=budget)])
+    docs, tables = [], []
+    for name, cpus in (("pool", {0, 1}), ("serial", {0})):
+        code, report, out = _oracle_run(tmp_path, name, cpus, monkeypatch, oracle)
+        assert code == 0, report["assertion_failures"]
+        doc = json.loads((out / "report.json").read_text())
+        for volatile in ("timestamp", "timings"):
+            doc.pop(volatile)
+        doc["config"].pop("output_dir")
+        docs.append(doc)
+        tables.append((out / "oracle_violations.csv").read_bytes())
+    assert docs[0] == docs[1]
+    assert tables[0] == tables[1]
+    search = docs[0]["results"]["searches"][-1]
+    first_chunk = counterexample_search(SearchRegime(**regime), SAMPLE_CHUNK, seed=search["seed"])
+    assert search["found"] and search["best_margin"] < first_chunk.best_margin
+
+
+def test_the_planned_chunk_map_raises_for_a_call_it_did_not_plan(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    regime = SearchRegime("distance_decreasing", 2)
+    score, calls = planned = _chunk_calls(regime, SAMPLE_CHUNK + 10, seed=1)
+    unplanned = [
+        (score, calls[:1]),  # fewer chunks
+        (score, [(regime, 2, *call[2:]) for call in calls]),  # another seed
+        _chunk_calls(regime, SAMPLE_CHUNK + 10, seed=1, search=True),  # the same chunks of a search
+    ]
+    for fn, wrong in unplanned:
+        with minsurf.cli._chunk_map({}, [planned]) as chunk_map:
+            with pytest.raises(RuntimeError, match="did not plan"):
+                chunk_map(fn, *zip(*wrong))
+    with minsurf.cli._chunk_map({}, [planned]) as chunk_map:
+        assert chunk_map(score, *zip(*calls)) == list(map(score, *zip(*calls)))
+        with pytest.raises(RuntimeError, match="did not plan"):
+            chunk_map(score, *zip(*calls))  # planned once, asked twice
+    assert multiprocessing.active_children() == []
 
 
 def test_a_dead_worker_ends_the_oracle_run(tmp_path, monkeypatch):
