@@ -103,8 +103,7 @@ def _analysis_sections(f: GridMap, cfg: RunConfig, results: dict, failures: list
 
 
 def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
-    grid = cfg.grid.build()
-    boundary = cfg.boundary.sample(grid)
+    boundary = cfg.boundary.sample(cfg.grid)
     kept = _KeptFactor()  # Newton's last factorization, which the stability check may iterate on
     outcome = solve_dirichlet(boundary, cfg=cfg.solver, kept=kept)
     results["solve"] = outcome.summary()
@@ -117,15 +116,14 @@ def _cmd_solve(cfg: RunConfig, results: dict, failures: list, fields: dict, timi
 
 
 def _cmd_analyze(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
-    grid = cfg.grid.build()
-    f = cfg.boundary.sample(grid)
+    f = cfg.boundary.sample(cfg.grid)
     fields["solution"] = f
     _analysis_sections(f, cfg, results, failures, fields)
     return EXIT_OPERATIONAL if failures else EXIT_OK
 
 
 def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
-    grid = cfg.grid.build()
+    grid = cfg.grid
     rng = np.random.default_rng(cfg.seed)
     f0 = _sample_endpoint(cfg.homotopy.f0, grid, cfg, rng)
     f1 = _sample_endpoint(cfg.homotopy.f1, grid, cfg, rng)
@@ -167,7 +165,7 @@ def _cmd_sweep(cfg: RunConfig, results: dict, failures: list, fields: dict, timi
     the last solution's departure from the harmonic extension of its own, which is exactly
     0 on the boundary; a step after a failed one starts from the harmonic extension alone.
     """
-    grid = cfg.grid.build()
+    grid = cfg.grid
     base = cfg.sweep.base.sample(grid)
     steps, correction = [], None
     for s in cfg.sweep.amplitudes:
@@ -417,10 +415,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         exit_code = EXIT_OPERATIONAL
     timings["command_seconds"] = time.perf_counter() - started
 
-    grid = None
-    if cfg.grid is not None:
-        grid = cfg.grid.build()
-    emitted, absent = emit_plot_data(results, outdir, grid=grid, fields=fields)
+    emitted, absent = emit_plot_data(results, outdir, grid=cfg.grid, fields=fields)
     if "solution" in fields:
         save_map(fields["solution"], outdir / "solution.json")
         emitted.append("solution.json")

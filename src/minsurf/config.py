@@ -2,17 +2,20 @@
 
 Configs are JSON or YAML documents. JSON is parsed as JSON first: the YAML
 1.1 resolver would read an exponent float like ``1e-9`` as a string. Each
-section is read into the dataclass that owns its settings (``SolverConfig``,
-``StabilitySpec``, ...): the section's keys are that dataclass's fields, its
-defaults are the field defaults, and each value's kind comes from the field's
-type. A short table per section adds the range rules. An unknown key or a
-malformed value aborts before computation with the offending path in the
-message. Every run report embeds the config verbatim.
+section is read into the dataclass that owns its settings (``DomainGrid``,
+``SolverConfig``, ...) and each map family into the function that samples it
+(``affine_map``, ...): the keys are the fields, or the parameters after
+``grid``, with their defaults, and each value's kind is the field's type or
+the parameter's annotation. A short table per section and family adds the
+range rules. An unknown key or a malformed value aborts before computation
+with the offending path in the message. Every run report embeds the config
+verbatim.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -24,7 +27,7 @@ from .chains import CHAIN_DD, CHAIN_RANK, SearchRegime
 from .criteria import DEFAULT_TOL
 from .errors import ConfigError
 from .families import affine_map, holomorphic_power_map, trigonometric_map
-from .grid import DomainGrid, GridMap, build_grid
+from .grid import DomainGrid, GridMap
 from .serialize import load_map
 from .solver import SolverConfig
 from .variation import DEFAULT_MINIMAL_TOL, EigenConfig
@@ -109,49 +112,43 @@ def _read(d: dict, key: str, path: str, kind, default=MISSING, check=None):
     return default
 
 
+def _keys(fn, given=()) -> dict:
+    """{parameter: (annotated kind, default or MISSING)} of a dataclass or function, except ``given``."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in given]
+    return {p.name: (_hints(fn)[p.name], MISSING if p.default is p.empty else p.default) for p in params}
+
+
 def _section(cls, d, path: str, checks: dict | None = None, **given):
     """Dataclass ``cls`` read from mapping ``d``.
 
-    The keys are the fields of ``cls`` except the ``given`` ones, which the
-    caller fills; the defaults and value kinds are the fields' own, and
-    ``checks`` maps a field to its range rule (see ``_check``). A ValueError
-    from the dataclass's own validation becomes a ConfigError at ``path``.
+    The keys are the fields of ``cls`` (see ``_keys``) except the ``given``
+    ones, which the caller fills, and ``checks`` maps a field to its range
+    rule (see ``_check``). A ValueError from the dataclass's own validation
+    becomes a ConfigError at ``path``.
     """
-    names = [f.name for f in fields(cls) if f.name not in given]
-    _check_keys(_mapping(d, path), names, path)
-    hints, checks = _hints(cls), checks or {}
-    defaults = {f.name: f.default for f in fields(cls)}
-    values = {k: _read(d, k, path, hints[k], defaults[k], checks.get(k)) for k in names}
+    keys, checks = _keys(cls, given), checks or {}
+    _check_keys(_mapping(d, path), keys, path)
+    values = {k: _read(d, k, path, kind, default, checks.get(k)) for k, (kind, default) in keys.items()}
     try:
         return cls(**values, **given)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    extents: tuple[tuple[float, float], ...]
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.extents) != len(self.counts):
-            raise ValueError("extents and counts must have equal length")
-        self.build()  # finite extents with a < b
-
-    def build(self) -> DomainGrid:
-        return build_grid(len(self.counts), self.extents, self.counts)
+def _custom_map(grid: DomainGrid, path: str) -> GridMap:
+    """The map stored at ``path``, which must be sampled on ``grid``."""
+    f = load_map(path)
+    if not f.grid.compatible_with(grid):
+        raise ConfigError(f"custom map grid {f.grid.counts} does not match configured grid {grid.counts}")
+    return f
 
 
-# family: {parameter: (kind, default, check)}; MISSING marks a required parameter
+# family name: the function that samples it; its parameters after ``grid`` are the family's keys
 _FAMILIES = {
-    "affine": {"matrix": (list, MISSING, None), "offset": (list, None, None)},
-    "holomorphic_power": {"amplitude": (float, MISSING, None), "power": (int, MISSING, 1)},
-    "trigonometric": {
-        "amplitudes": (list, MISSING, None),
-        "wavevectors": (list, MISSING, None),
-        "phases": (list, None, None),
-    },
-    "custom": {"path": (str, MISSING, None)},
+    "affine": affine_map,
+    "holomorphic_power": holomorphic_power_map,
+    "trigonometric": trigonometric_map,
+    "custom": _custom_map,
 }
 
 
@@ -168,32 +165,18 @@ class MapSpec:
     bump_amplitude: float = 0.0
 
     def sample(self, grid: DomainGrid) -> GridMap:
-        p = self.params
-        if self.family == "affine":
-            return affine_map(grid, p["matrix"], p.get("offset"))
-        if self.family == "holomorphic_power":
-            return holomorphic_power_map(grid, p["amplitude"], p["power"])
-        if self.family == "trigonometric":
-            return trigonometric_map(grid, p["amplitudes"], p["wavevectors"], p.get("phases"))
-        if self.family == "custom":
-            f = load_map(p["path"])
-            if f.grid.counts != grid.counts or f.grid.extents != grid.extents:
-                raise ConfigError(
-                    f"custom map grid {f.grid.counts} does not match configured grid {grid.counts}"
-                )
-            return f
-        raise ConfigError(f"unknown family {self.family!r}")
+        return _FAMILIES[self.family](grid, **self.params)
 
 
 def _parse_mapspec(d, path: str, endpoint: bool = False) -> MapSpec:
     family = _read(_mapping(d, path), "family", path, str)
     if family not in _FAMILIES:
         raise ConfigError(f"{path}.family: unknown family {family!r}")
-    table = _FAMILIES[family]
-    rest = {k: v for k, v in d.items() if k != "family" and k not in table}
+    keys, checks = _keys(_FAMILIES[family], given=("grid",)), _CHECKS.get(family, {})
+    rest = {k: v for k, v in d.items() if k != "family" and k not in keys}
     if not endpoint:
         _check_keys(rest, (), path)
-    params = {k: _read(d, k, path, *spec) for k, spec in table.items()}
+    params = {k: _read(d, k, path, kind, default, checks.get(k)) for k, (kind, default) in keys.items()}
     return _section(MapSpec, rest, path, family=family, params=params)
 
 
@@ -238,6 +221,9 @@ def _parse_sweep(d, path: str) -> SweepSpec:
     own = {k: v for k, v in _mapping(d, path).items() if k in _SWEEP_KEYS}
     base = _parse_mapspec({k: v for k, v in d.items() if k not in own}, path)
     if "s_values" in own:
+        conflicting = [k for k in ("s_max", "steps") if k in own]
+        if conflicting:
+            raise ConfigError(f"{path}: s_values excludes {' and '.join(conflicting)}")
         amplitudes = _read(own, "s_values", path, tuple[float, ...])
     else:
         s_max = _read(own, "s_max", path, float, check=_POSITIVE)
@@ -288,9 +274,10 @@ class ValidateSpec:
     trials: int = 3
 
 
-# range rules of each section (see _check)
+# range rules of each section and family (see _check)
 _CHECKS = {
     "grid": {"counts": 3},
+    "holomorphic_power": {"power": 1},
     "solver": {"tol_residual_sup": _POSITIVE, "max_newton_iters": 1, "max_fallback_iters": 1},
     "stability": {"tol": _POSITIVE, "max_iters": 1},
     "criteria": {"tol": 0, "rank_tol": _POSITIVE, "minimal_tol": _POSITIVE},
@@ -321,7 +308,7 @@ class RunConfig:
     command: str
     seed: int
     output_dir: str
-    grid: GridSpec | None
+    grid: DomainGrid | None
     boundary: MapSpec | None
     solver: SolverConfig
     stability: StabilitySpec
@@ -349,7 +336,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         command=command,
         seed=seed,
         output_dir=_read(doc, "output_dir", "", str, f"runs/{command}"),
-        grid=section("grid", GridSpec) if "grid" in doc else None,
+        grid=section("grid", DomainGrid) if "grid" in doc else None,
         boundary=_parse_mapspec(doc["boundary"], "boundary") if "boundary" in doc else None,
         solver=section("solver", SolverConfig),
         stability=section("stability", StabilitySpec, seed=seed),

@@ -18,12 +18,15 @@ __all__ = [
 ]
 
 
-def affine_map(grid: DomainGrid, matrix, offset=None) -> GridMap:
-    """f(x) = A x + b with A an m x n matrix."""
+def affine_map(grid: DomainGrid, matrix: list, offset: list | None = None) -> GridMap:
+    """f(x) = A x + b with A an m x n matrix and b an m-vector."""
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     if A.shape[1] != grid.n:
         raise ValueError(f"matrix must have {grid.n} columns, got {A.shape[1]}")
-    b = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=float)
+    m = A.shape[0]
+    b = np.zeros(m) if offset is None else np.asarray(offset, dtype=float)
+    if b.shape != (m,):
+        raise ValueError(f"offset must have shape ({m},), one entry per component, got {b.shape}")
     return GridMap(grid=grid, values=grid.coordinates() @ A.T + b)
 
 
@@ -44,7 +47,7 @@ def holomorphic_power_map(grid: DomainGrid, amplitude: float, power: int) -> Gri
     return GridMap(grid=grid, values=np.stack([w.real, w.imag], axis=-1))
 
 
-def trigonometric_map(grid: DomainGrid, amplitudes, wavevectors, phases=None) -> GridMap:
+def trigonometric_map(grid: DomainGrid, amplitudes: list, wavevectors: list, phases: list | None = None) -> GridMap:
     """f^a(x) = amp_a * sin(<k_a, x> + phase_a) componentwise."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     waves = np.atleast_2d(np.asarray(wavevectors, dtype=float))
@@ -52,6 +55,8 @@ def trigonometric_map(grid: DomainGrid, amplitudes, wavevectors, phases=None) ->
     if waves.shape != (m, grid.n):
         raise ValueError(f"wavevectors must have shape ({m}, {grid.n}), got {waves.shape}")
     ph = np.zeros(m) if phases is None else np.asarray(phases, dtype=float)
+    if ph.shape != (m,):
+        raise ValueError(f"phases must have shape ({m},), one entry per component, got {ph.shape}")
     X = grid.coordinates()
     vals = amps * np.sin(np.einsum("...i,ai->...a", X, waves) + ph)
     return GridMap(grid=grid, values=vals)

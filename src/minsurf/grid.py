@@ -29,10 +29,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DomainGrid:
-    """Axis-aligned box [a_1,b_1] x ... x [a_n,b_n] with N_k nodes per axis."""
+    """Axis-aligned box [a_1,b_1] x ... x [a_n,b_n] with N_k nodes per axis.
+
+    Construction rejects a box without axes and degenerate axes: each needs
+    finite extents with a_k < b_k and at least 3 nodes, so that it carries
+    interior nodes.
+    """
 
     extents: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.counts:
+            raise ValueError("domain dimension must be >= 1, got 0")
+        if len(self.extents) != len(self.counts):
+            raise ValueError("extents and counts must have equal length")
+        for k, ((a, b), c) in enumerate(zip(self.extents, self.counts)):
+            if not (np.isfinite(a) and np.isfinite(b)):
+                raise ValueError(f"axis {k}: extents must be finite, got [{a}, {b}]")
+            if not a < b:
+                raise ValueError(f"axis {k}: need a < b, got [{a}, {b}]")
+            if c < 3:
+                raise ValueError(f"axis {k}: need at least 3 nodes, got {c}")
 
     @property
     def n(self) -> int:
@@ -100,26 +118,13 @@ class DomainGrid:
 
 
 def build_grid(n: int, extents, counts) -> DomainGrid:
-    """Construct a grid, rejecting degenerate axes.
-
-    Each axis needs at least 3 nodes so that it carries interior nodes, and
-    extents must be finite with a_k < b_k.
-    """
+    """An n-dimensional grid from numbers of any numeric type; ``DomainGrid`` checks the axes."""
     extents = tuple((float(a), float(b)) for a, b in extents)
     counts = tuple(int(c) for c in counts)
-    if n < 1:
-        raise ValueError(f"domain dimension must be >= 1, got {n}")
     if len(extents) != n or len(counts) != n:
         raise ValueError(
             f"expected {n} extents and counts, got {len(extents)} and {len(counts)}"
         )
-    for k, ((a, b), c) in enumerate(zip(extents, counts)):
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError(f"axis {k}: extents must be finite, got [{a}, {b}]")
-        if not a < b:
-            raise ValueError(f"axis {k}: need a < b, got [{a}, {b}]")
-        if c < 3:
-            raise ValueError(f"axis {k}: need at least 3 nodes, got {c}")
     return DomainGrid(extents=extents, counts=counts)
 
 

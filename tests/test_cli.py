@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -127,6 +128,79 @@ def test_analyze_custom_map(tmp_path, rng):
     assert code == 0
     assert report["results"]["spectrum"]["sup_lambda_max"] > 0
     assert "residual_field.csv" in report["artifacts"]["files"]
+
+
+@pytest.mark.parametrize("extents, counts", [([[0.0, 1.0]] * 2, [13, 13]), ([[0.0, 2.0], [0.0, 1.0]], [9, 9])])
+def test_custom_map_on_another_grid_exit_2(tmp_path, extents, counts):
+    map_path = tmp_path / "input.json"
+    save_map(holomorphic_power_map(build_grid(2, [(0.0, 1.0), (0.0, 1.0)], (9, 9)), 0.2, 2), map_path)
+    doc = {
+        "command": "analyze",
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"extents": extents, "counts": counts},
+        "boundary": {"family": "custom", "path": str(map_path)},
+    }
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["assertion_failures"] == [
+        f"ConfigError: custom map grid (9, 9) does not match configured grid {tuple(counts)}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "boundary, message",
+    [
+        (
+            {"family": "trigonometric", "amplitudes": [0.1, 0.2], "wavevectors": [[1, 0], [0, 1]], "phases": [0.1]},
+            "ValueError: phases must have shape (2,), one entry per component, got (1,)",
+        ),
+        (
+            {"family": "affine", "matrix": [[1, 0], [0, 1]], "offset": [0.1, 0.2, 0.3]},
+            "ValueError: offset must have shape (2,), one entry per component, got (3,)",
+        ),
+    ],
+)
+def test_per_component_parameter_of_wrong_length_exit_2(tmp_path, boundary, message):
+    doc = {**BASE_SOLVE, "output_dir": str(tmp_path / "out"), "boundary": boundary}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["assertion_failures"] == [message]
+
+
+def test_solve_contradicting_a_criterion_exit_1(tmp_path, monkeypatch):
+    stability_index = minsurf.cli.stability_index
+
+    def unstable(*args, **kwargs):
+        # a negative index on a map whose distance-decreasing criterion holds with margin
+        return dataclasses.replace(stability_index(*args, **kwargs), min_eigenvalue=-1.0, verdict="unstable")
+
+    monkeypatch.setattr(minsurf.cli, "stability_index", unstable)
+    doc = {**BASE_SOLVE, "output_dir": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_code"] == 1
+    [failure] = report["assertion_failures"]
+    assert failure.startswith("a stability criterion holds with margin but the stability index is -1.000e+00")
+
+
+def test_oracle_in_hypothesis_witness_exit_1(tmp_path, monkeypatch):
+    search = minsurf.cli.counterexample_search
+
+    def past_the_hypotheses(regime, budget, seed, tol, map):
+        # reports, for the in-hypothesis box, what a search of the box up to 2 finds
+        return search(dataclasses.replace(regime, lam_high=2.0), budget, seed=seed, tol=tol)
+
+    monkeypatch.setattr(minsurf.cli, "counterexample_search", past_the_hypotheses)
+    doc = {
+        "command": "oracle",
+        "output_dir": str(tmp_path / "out"),
+        "oracle": {"chains": [], "searches": [{"chain": "distance_decreasing", "n": 2, "budget": 2000}]},
+    }
+    assert main(["run", str(write_config(tmp_path, doc))]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_code"] == 1
+    assert report["results"]["searches"][0]["found"]
+    assert report["assertion_failures"] == ["counterexample found inside hypotheses (distance_decreasing, n=2)"]
 
 
 def test_oracle_out_of_hypothesis_witnesses_are_findings(tmp_path):
@@ -461,7 +535,7 @@ def test_analysis_computes_one_residual_per_map(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "minimal_system_residual", counting)
     cfg = parse_config({**BASE_SOLVE, "output_dir": str(tmp_path / "out")})
     assert cfg.stability.enabled
-    f = holomorphic_power_map(cfg.grid.build(), 0.3, 3)
+    f = holomorphic_power_map(cfg.grid, 0.3, 3)
     results, failures, fields = {}, [], {}
     cli_module._analysis_sections(f, cfg, results, failures, fields)
     assert "stability" in results and "criteria" in results

@@ -1,10 +1,15 @@
 """The run-config schema: every key of every section, its resolved value, and
 the error each kind of malformed value produces."""
 
+import inspect
+import typing
+
+import numpy as np
 import pytest
 
-from minsurf import ConfigError
-from minsurf.config import parse_config
+from minsurf import ConfigError, load_map, save_map
+from minsurf.config import _FAMILIES, parse_config
+from minsurf.families import affine_map, holomorphic_power_map, trigonometric_map
 
 GRID = {"extents": [[0.0, 2.0], [-1.0, 1.0]], "counts": [9, 11]}
 HOLOMORPHIC = {"family": "holomorphic_power", "amplitude": 0.3, "power": 3}
@@ -270,6 +275,7 @@ BAD = {
     "grid-reversed": (_with(SOLVE, "grid", extents=[[2.0, 0.0], [-1.0, 1.0]]), "grid: axis 0:"),
     "grid-empty": (_with(SOLVE, "grid", extents=[[0.0, 2.0], [1.0, 1.0]]), "grid: axis 1:"),
     "grid-infinite": (_with(SOLVE, "grid", extents=[[0.0, float("inf")], [-1.0, 1.0]]), "grid: axis 0:"),
+    "grid-no-axes": ({**SOLVE, "grid": {"extents": [], "counts": []}}, "grid: domain dimension must be >= 1"),
     "grid-nan": (_with(SOLVE, "grid", extents=[[0.0, 2.0], [float("nan"), 1.0]]), "grid: axis 1:"),
     "boundary-unknown": (_with(SOLVE, "boundary", matrix=[[1, 0]]), "boundary.matrix:"),
     "boundary-type": (_with(SOLVE, "boundary", amplitude="big"), "boundary.amplitude:"),
@@ -320,6 +326,11 @@ BAD = {
         "sweep.s_max:",
     ),
     "sweep-min": ({**SWEEP, "sweep": {**HOLOMORPHIC, "s_max": 1, "steps": 0}}, "sweep.steps:"),
+    "sweep-conflict": (
+        {**SWEEP, "sweep": {**HOLOMORPHIC, "s_values": [0.5], "s_max": "not a number", "steps": -4}},
+        "sweep: s_values excludes s_max and steps",
+    ),
+    "sweep-conflict-steps": (_with(SWEEP, "sweep", steps=2), "sweep: s_values excludes steps"),
     "oracle-unknown": (_with(ORACLE, "oracle", budget=5), "oracle.budget:"),
     "oracle-type": (_with(ORACLE, "oracle", chains="rank"), "oracle.chains:"),
     "oracle-chain": (_with(ORACLE, "oracle", chains=["cycle"]), "oracle.chains"),
@@ -357,3 +368,47 @@ def test_section_required_by_command(section):
     doc = {k: v for k, v in docs[section].items() if k != section}
     with pytest.raises(ConfigError, match=section):
         parse_config(doc)
+
+
+def test_family_functions_annotate_every_key():
+    for family, fn in _FAMILIES.items():
+        grid, *keys = inspect.signature(fn).parameters
+        hints = typing.get_type_hints(fn)
+        assert grid == "grid" and keys, family
+        assert [key for key in keys if key not in hints] == [], family
+
+
+@pytest.mark.parametrize(
+    "keys, direct",
+    [
+        (
+            {"family": "affine", "matrix": [[1, 2], [3, 4]], "offset": [5, 6]},
+            lambda g: affine_map(g, [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0]),
+        ),
+        ({"family": "affine", "matrix": [[1, 0]]}, lambda g: affine_map(g, [[1, 0]])),
+        (HOLOMORPHIC, lambda g: holomorphic_power_map(g, 0.3, 3)),
+        (
+            {"family": "trigonometric", "amplitudes": [0.1, 2], "wavevectors": [[1, 2], [0, 3]], "phases": [0.5, 1]},
+            lambda g: trigonometric_map(g, [0.1, 2.0], [[1.0, 2.0], [0.0, 3.0]], [0.5, 1.0]),
+        ),
+        (
+            {"family": "trigonometric", "amplitudes": [0.1], "wavevectors": [[1, 2]]},
+            lambda g: trigonometric_map(g, [0.1], [[1.0, 2.0]]),
+        ),
+        ({"family": "custom", "path": "map.json"}, lambda g: load_map("map.json")),
+    ],
+    ids=["affine", "affine-no-offset", "holomorphic_power", "trigonometric", "trigonometric-no-phases", "custom"],
+)
+def test_family_samples_as_a_direct_call_in_every_role(tmp_path, monkeypatch, keys, direct):
+    monkeypatch.chdir(tmp_path)
+    grid = parse_config(SOLVE).grid
+    save_map(holomorphic_power_map(grid, 0.2, 2), "map.json")
+    specs = (
+        parse_config({**SOLVE, "boundary": keys}).boundary,
+        parse_config(_with(HOMOTOPY, "homotopy", f1=keys)).homotopy.f1,
+        parse_config({**SWEEP, "sweep": {**keys, "s_values": [0.5]}}).sweep.base,
+    )
+    expected = direct(grid).values
+    for spec in specs:
+        assert spec.family == keys["family"]
+        assert np.array_equal(spec.sample(grid).values, expected)

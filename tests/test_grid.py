@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minsurf import (
+    DomainGrid,
     GridMap,
     build_grid,
     induced_metric,
@@ -46,6 +47,22 @@ def test_build_grid_node_counting():
 def test_build_grid_rejects_bad_input(n, extents, counts):
     with pytest.raises(ValueError):
         build_grid(n, extents, counts)
+
+
+@pytest.mark.parametrize(
+    "extents, counts, message",
+    [
+        (((0.0, 1.0), (1.0, 0.0)), (3, 3), "axis 1: need a < b, got [1.0, 0.0]"),
+        (((0.0, float("inf")), (0.0, 1.0)), (3, 3), "axis 0: extents must be finite, got [0.0, inf]"),
+        (((0.0, 1.0), (0.0, 1.0)), (3, 2), "axis 1: need at least 3 nodes, got 2"),
+        (((0.0, 1.0),), (3, 3), "extents and counts must have equal length"),
+        ((), (), "domain dimension must be >= 1, got 0"),
+    ],
+)
+def test_domain_grid_rejects_degenerate_axes(extents, counts, message):
+    with pytest.raises(ValueError) as err:
+        DomainGrid(extents=extents, counts=counts)
+    assert str(err.value) == message
 
 
 def test_quadrature_weights_sum_to_volume():
