@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 _LEAF_NODES = 8  # dissection blocks this small are not split further
 _FRONT_NODES = 32  # a subtree of at most this many nodes is one dense front
+_SLAB_BYTES = 2 << 20  # fronts of one batch are eliminated this many bytes of front stack at a time
 PIVOT_TOL = 1e-11  # a pivot below this times the largest diagonal entry leaves the count uncertified
 
 
@@ -224,22 +225,56 @@ def _symbolic(nodes: tuple[int, ...], m: int) -> tuple[_Batch, ...]:
     return tuple(batches)
 
 
-def _inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A^-1, pivots) for a stack of symmetric pivot blocks.
+def _inverse(A: np.ndarray, out: np.ndarray, definite: bool) -> np.ndarray:
+    """Writes A^-1 into ``out`` for a stack of symmetric pivot blocks and returns their pivots.
 
-    The pivots are Cholesky's L_ii^2 when every block is positive definite, else the
-    eigenvalues of every block. A non-finite block gives NaN for both.
+    The pivots are Cholesky's L_ii^2 when ``definite`` (LinAlgError if a block is not
+    positive definite), else the eigenvalues of every block. A non-finite stack gives NaN
+    for both.
     """
     if not np.isfinite(A).all():
-        return np.full(A.shape, np.nan), np.full(A.shape[:2], np.nan)
-    try:
+        out[...] = np.nan
+        return np.full(A.shape[:2], np.nan)
+    if definite:
         L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        lam, Q = np.linalg.eigh(A)
-        if not lam.all():
-            raise RuntimeError("Factor is exactly singular") from None
-        return (Q / lam[:, None, :]) @ Q.transpose(0, 2, 1), lam
-    return np.linalg.inv(A), np.diagonal(L, axis1=1, axis2=2) ** 2
+        out[...] = np.linalg.inv(A)
+        return np.diagonal(L, axis1=1, axis2=2) ** 2
+    lam, Q = np.linalg.eigh(A)
+    if not lam.all():
+        raise RuntimeError("Factor is exactly singular")
+    np.matmul(Q / lam[:, None, :], Q.transpose(0, 2, 1), out=out)
+    return lam
+
+
+def _assemble_fronts(F: np.ndarray, batch: _Batch, first: int, blocks: np.ndarray, schur: list, shift) -> None:
+    """Fills F with the fronts first, first + 1, ... of the batch.
+
+    Each front gets its pivot rows from the operator's ``blocks`` and their mirror, the
+    Schur complements its children pass up, and -``shift`` on its pivot diagonal. The
+    entries and child pairs of these fronts are found by bisection: ``batch.gather[0]``
+    and each child entry's parent places ascend.
+    """
+    fronts, width, _ = F.shape
+    pm, m = batch.pivots.shape[1], blocks.shape[1]
+    end = first + fronts
+    part = fronts < batch.pivots.shape[0]
+    F.fill(0.0)
+    front, row, col, node, k = batch.gather
+    if part:
+        lo, hi = front.searchsorted((first, end))
+        front, row, col, node, k = front[lo:hi] - first, row[lo:hi], col[lo:hi], node[lo:hi], k[lo:hi]
+    F.reshape(fronts, width // m, m, width // m, m)[front, row, :, col, :] = blocks[k, :, :, node]
+    F[:, pm:, :pm] = F[:, :pm, pm:].transpose(0, 2, 1)
+    for child, sel, parent, at in batch.children:
+        if part:
+            lo, hi = parent.searchsorted((first, end))
+            sel, parent, at = sel[lo:hi], parent[lo:hi] - first, at[lo:hi]
+        # one flat index is cheaper than three broadcast ones
+        flat = (parent[:, None, None] * width + at[:, :, None]) * width + at[:, None, :]
+        F.reshape(-1)[flat] += schur[child][sel]
+    if shift is not None:
+        diag = np.arange(pm)
+        F[:, diag, diag] -= shift[batch.pivots[first:end]]
 
 
 class Factorization:
@@ -249,8 +284,14 @@ class Factorization:
     front gathers its pivot rows from H's blocks and adds the Schur complements its children
     pass up (extend-add); its pivot block is factored by Cholesky, or through its
     eigendecomposition when it is not positive definite, and it passes up the Schur
-    complement on its update set. Fronts of one height and shape are factored as one stack.
-    Nothing is pivoted across fronts.
+    complement on its update set. Fronts of one height and shape form a batch, eliminated
+    in slabs of consecutive fronts whose dense stack fits in ``_SLAB_BYTES``, or one front
+    when a single front is larger. Each slab is assembled in one workspace, allocated once per
+    factorization at the size of the largest slab, and every slab's inverse, update rows and
+    Schur complement are written into arrays made once per batch. The stored factor is one
+    array. A batch with a pivot block that is not positive definite goes through the
+    eigendecomposition in every slab, so each front meets the same LAPACK and BLAS calls as
+    in one stack of the whole batch, whatever the slab size. Nothing is pivoted across fronts.
 
     ``count`` is the number of negative pivots, which is the number of eigenvalues of the
     pencil below sigma, or None when a pivot is non-finite or below ``PIVOT_TOL`` times the
@@ -266,40 +307,53 @@ class Factorization:
         if weights is not None:
             bound = bound + abs(sigma) * weights
         scale = float(np.max(bound, initial=0.0))
+        shift = sigma * weights if weights is not None and sigma else None
         waiting = [0] * len(self._batches)  # child entries not yet added into their parents
         for batch in self._batches:
             for child, *_ in batch.children:
                 waiting[child] += 1
+        # one array holds the stored factor, every batch's G and T, so that no small long-lived
+        # array lands on the heap between slab temporaries and pins it; one workspace holds the
+        # largest slab of fronts that any batch eliminates at a time
+        shapes = [batch.pivots.shape + batch.update.shape[1:] for batch in self._batches]
+        steps = [max(1, _SLAB_BYTES // (8 * (p + u) ** 2)) for _, p, u in shapes]
+        factor = np.empty(sum(f * p * (p + u) for f, p, u in shapes))
+        work = np.empty(max(min(step, f) * (p + u) ** 2 for (f, p, u), step in zip(shapes, steps)))
         schur: list[np.ndarray | None] = [None] * len(self._batches)
         self._factors = []
-        count, certified = 0, True
-        for i, batch in enumerate(self._batches):
-            fronts, pm = batch.pivots.shape
-            width = pm + batch.update.shape[1]
-            F = np.zeros((fronts, width, width))
-            front, row, col, node, k = batch.gather
-            F.reshape(fronts, width // m, m, width // m, m)[front, row, :, col, :] = blocks[k, :, :, node]
-            F[:, pm:, :pm] = F[:, :pm, pm:].transpose(0, 2, 1)
-            for child, sel, parent, at in batch.children:
-                # one flat index is cheaper than three broadcast ones
-                flat = (parent[:, None, None] * width + at[:, :, None]) * width + at[:, None, :]
-                F.reshape(-1)[flat] += schur[child][sel]
+        count, certified, used = 0, True, 0
+        for i, (batch, (fronts, pm, u), step) in enumerate(zip(self._batches, shapes, steps)):
+            width = pm + u
+            G = factor[used : used + fronts * pm * pm].reshape(fronts, pm, pm)
+            T = factor[used + G.size : used + fronts * pm * width].reshape(fronts, u, pm)
+            used += fronts * pm * width
+            S = schur[i] = np.empty((fronts, u, u))
+            pivots = np.empty((fronts, pm))
+            for definite in (True, False):
+                try:
+                    for a in range(0, fronts, step):
+                        s = slice(a, a + step)
+                        F = work[: min(step, fronts - a) * width * width].reshape(-1, width, width)
+                        _assemble_fronts(F, batch, a, blocks, schur, shift)
+                        pivots[s] = _inverse(F[:, :pm, :pm], G[s], definite)
+                        np.matmul(F[:, pm:, :pm], G[s], out=T[s])
+                        np.matmul(T[s], F[:, :pm, pm:], out=S[s])
+                        np.subtract(F[:, pm:, pm:], S[s], out=S[s])
+                    break
+                except np.linalg.LinAlgError:
+                    # a block is not positive definite: every slab goes through eigh, unless that failed
+                    if not definite:
+                        raise
+            for child, *_ in batch.children:
                 waiting[child] -= 1
                 if not waiting[child]:
                     schur[child] = None
-            if weights is not None and sigma:
-                diag = np.arange(pm)
-                F[:, diag, diag] -= sigma * weights[batch.pivots]
-            G, pivots = _inverse(F[:, :pm, :pm])
-            T = F[:, pm:, :pm] @ G
-            schur[i] = F[:, pm:, pm:] - T @ F[:, :pm, pm:]
-            del F
             self._factors.append((G, T))
             count += int(np.count_nonzero(pivots < 0))
             # NaN fails the comparison too
             certified = certified and bool(np.all(np.abs(pivots) > PIVOT_TOL * scale))
         self.count = count if certified else None
-        self.stored = sum(G.size + T.size for G, T in self._factors)
+        self.stored = factor.size
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(H - sigma B)^-1 rhs for one vector or the k columns of a (size, k) array, natural order."""

@@ -50,10 +50,15 @@ EXIT_ASSERTION = 1
 EXIT_OPERATIONAL = 2
 
 
-def _sample_endpoint(spec: MapSpec, grid, cfg: RunConfig, rng) -> GridMap:
+def _sample_endpoint(spec: MapSpec, grid, cfg: RunConfig, rng, solved: list) -> GridMap:
+    """The endpoint's map; ``solved`` holds (map, outcome) of each endpoint solved so far, and a
+    map equal to one of them reuses its outcome instead of being solved again."""
     f = spec.sample(grid)
     if spec.solve:
-        outcome = solve_dirichlet(f, cfg=cfg.solver)
+        outcome = next((o for g, o in solved if np.array_equal(g.values, f.values)), None)
+        if outcome is None:
+            outcome = solve_dirichlet(f, cfg=cfg.solver)
+            solved.append((f, outcome))
         if not outcome.converged:
             raise RuntimeError(f"endpoint solve did not converge ({outcome.status})")
         f = outcome.solution
@@ -125,8 +130,9 @@ def _cmd_analyze(cfg: RunConfig, results: dict, failures: list, fields: dict, ti
 def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict, timings: dict) -> int:
     grid = cfg.grid
     rng = np.random.default_rng(cfg.seed)
-    f0 = _sample_endpoint(cfg.homotopy.f0, grid, cfg, rng)
-    f1 = _sample_endpoint(cfg.homotopy.f1, grid, cfg, rng)
+    solved = []
+    f0 = _sample_endpoint(cfg.homotopy.f0, grid, cfg, rng, solved)
+    f1 = _sample_endpoint(cfg.homotopy.f1, grid, cfg, rng, solved)
     homotopy = linear_homotopy(f0, f1, cfg.homotopy.t_count)
     profile = area_profile(homotopy)
     results["profile"] = profile.summary()
@@ -144,6 +150,8 @@ def _cmd_homotopy(cfg: RunConfig, results: dict, failures: list, fields: dict, t
             cfg=cfg.solver,
             seed=cfg.seed,
             uniq_tol=cfg.homotopy.uniq_tol,
+            # an endpoint solve starts from a harmonic extension, used for start 0 only if it is start 0's
+            harmonic=solved[0][1] if solved else None,
         )
         results["uniqueness"] = report.summary()
         if not report.unique_in_dd_class:

@@ -926,3 +926,24 @@ def test_reports_are_deterministic(tmp_path, command):
         doc["config"].pop("output_dir")
         reports.append(json.dumps(doc, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_homotopy_solves_the_shared_harmonic_start_problem_once(tmp_path, monkeypatch):
+    import minsurf.homotopy
+
+    starts = []
+    solve = minsurf.cli.solve_dirichlet
+
+    def counting(boundary, init=None, **kwargs):
+        starts.append(init)
+        return solve(boundary, init=init, **kwargs)
+
+    monkeypatch.setattr(minsurf.cli, "solve_dirichlet", counting)
+    monkeypatch.setattr(minsurf.homotopy, "solve_dirichlet", counting)
+    code, report = run(parse_config({**_DETERMINISM["homotopy"], "seed": 7, "output_dir": str(tmp_path / "out")}))
+    assert code == 0
+    # f0, f1 before its bump and uniqueness start 0 are one problem from one start: one solve from
+    # the harmonic extension, then one per perturbed start
+    assert len(starts) == 3 and starts[0] is None and all(init is not None for init in starts[1:])
+    outcomes = report["results"]["uniqueness"]["outcomes"]
+    assert len(outcomes) == 3 and all(o["converged"] for o in outcomes)

@@ -153,6 +153,21 @@ def test_uniqueness_holomorphic_boundary(unit_square):
     assert rep.max_dd_pair_distance <= 1e-7
 
 
+def test_uniqueness_reuses_a_harmonic_start_solve_only_from_that_start(unit_square):
+    boundary = holomorphic_power_map(unit_square, 0.3, 3)
+    fresh = uniqueness_experiment(boundary, init_count=3, seed=2)
+    shared = solve_dirichlet(boundary)
+    reused = uniqueness_experiment(boundary, init_count=3, seed=2, harmonic=shared)
+    assert reused.outcomes[0] is shared
+    assert reused.summary() == fresh.summary()
+    # a solve from another start does not stand for start 0
+    elsewhere = solve_dirichlet(boundary, init=shared.solution)
+    assert elsewhere.init_hash != shared.init_hash
+    rep = uniqueness_experiment(boundary, init_count=3, seed=2, harmonic=elsewhere)
+    assert rep.outcomes[0] is not elsewhere
+    assert rep.summary() == fresh.summary()
+
+
 def test_uniqueness_gating_excludes_non_dd(unit_square, rng):
     # pairs with a non-dd member are exempt from the assertion; distances
     # are still reported as data
